@@ -206,8 +206,12 @@ void DB::RefreshViewLocked() {
   view->mem = mem_;
   view->imm = imm_;
   view->tables.reserve(tables_.size());
-  for (const auto& [number, table] : tables_) {
-    view->tables.push_back(table);
+  for (int level = 0; level < versions_->NumLevels(); level++) {
+    for (const FileMeta& meta : versions_->files(level)) {
+      auto it = tables_.find(meta.number);
+      if (it == tables_.end()) continue;
+      view->tables.push_back({it->second, meta.smallest, meta.largest});
+    }
   }
   std::lock_guard<std::mutex> view_lock(view_mu_);
   view_ = std::move(view);
@@ -733,8 +737,6 @@ Status DB::Get(const ReadOptions& read_options, const Slice& key,
     if (r == MemTable::GetResult::kFound) return Status::OK();
     if (r == MemTable::GetResult::kDeleted) return Status::NotFound();
   }
-  const std::vector<std::shared_ptr<Table>>& candidates = view->tables;
-
   // Search every table that may contain the key and keep the entry with
   // the highest sequence number: with size-tiered compaction, no total
   // order exists between tables (see Iterator::seq()).
@@ -742,11 +744,12 @@ Status DB::Get(const ReadOptions& read_options, const Slice& key,
   bool found = false;
   bool deleted = false;
   std::string candidate_value;
-  for (const auto& table : candidates) {
+  for (const auto& ref : view->tables) {
     Table::GetResult result;
     uint64_t seq = 0;
     std::string v;
-    APM_RETURN_IF_ERROR(table->Get(read_options, key, &result, &v, &seq));
+    APM_RETURN_IF_ERROR(
+        ref.table->Get(read_options, key, &result, &v, &seq));
     if (result == Table::GetResult::kAbsent) continue;
     if (!found || seq > best_seq) {
       found = true;
@@ -784,29 +787,43 @@ Status DB::Scan(const ReadOptions& read_options, const Slice& start,
                    std::min(start.size(), options_.prefix_bloom_length));
   }
 
+  // With an upper bound the scan touches only [start, upper_bound): a
+  // table whose manifest range lies wholly outside it gets no iterator,
+  // so its index and blocks are never consulted (a seek would load the
+  // first block of any table lying above the start key).
+  const Slice bound = read_options.upper_bound;
+  if (count <= 0 || (!bound.empty() && start.Compare(bound) >= 0)) {
+    return Status::OK();
+  }
+
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(view->mem->NewIterator(seq_limit));
   if (view->imm != nullptr) children.push_back(view->imm->NewIterator());
-  for (const auto& table : view->tables) {
-    const size_t table_prefix_len = table->prefix_bloom_length();
+  for (const auto& ref : view->tables) {
+    if (Slice(ref.largest).Compare(start) < 0 ||
+        (!bound.empty() && Slice(ref.smallest).Compare(bound) >= 0)) {
+      continue;
+    }
+    const size_t table_prefix_len = ref.table->prefix_bloom_length();
     if (table_prefix_len > 0 && table_prefix_len <= prefix.size() &&
-        !table->MayMatchPrefix(Slice(prefix.data(), table_prefix_len))) {
+        !ref.table->MayMatchPrefix(Slice(prefix.data(), table_prefix_len))) {
       prefix_bloom_skips_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    children.push_back(table->NewIterator(read_options));
+    children.push_back(ref.table->NewIterator(read_options));
   }
   auto iter = NewDedupIterator(NewMergingIterator(std::move(children)),
-                               /*skip_tombstones=*/true);
-  iter->Seek(start);
-  while (iter->Valid() && static_cast<int>(out->size()) < count) {
+                               /*skip_tombstones=*/true, bound);
+  for (iter->Seek(start); iter->Valid(); iter->Next()) {
     if (!prefix.empty() &&
         (iter->key().size() < prefix.size() ||
          Slice(iter->key().data(), prefix.size()).Compare(prefix) != 0)) {
       break;  // sorted keys: once outside the prefix range, always outside
     }
     out->emplace_back(iter->key().ToString(), iter->value().ToString());
-    iter->Next();
+    // Stop on the count-th record rather than stepping past it: the step
+    // could load a block the caller never sees.
+    if (static_cast<int>(out->size()) >= count) break;
   }
   return iter->status();
 }
@@ -908,9 +925,9 @@ std::unique_ptr<Iterator> DB::NewSnapshotIterator(
       imm = view->imm;
       children.push_back(imm->NewIterator());
     }
-    for (const auto& table : view->tables) {
-      tables.push_back(table);
-      children.push_back(table->NewIterator(read_options));
+    for (const auto& ref : view->tables) {
+      tables.push_back(ref.table);
+      children.push_back(ref.table->NewIterator(read_options));
     }
   }
   auto merged = NewDedupIterator(NewMergingIterator(std::move(children)),
@@ -1520,6 +1537,13 @@ Status DB::CompactAll() {
 }
 
 Status DB::DiskUsage(uint64_t* bytes) {
+  {
+    // Zombies are otherwise unlinked only when a flush or compaction
+    // finishes, so an idle engine would keep counting compacted tables
+    // whose last reader left long ago.
+    std::lock_guard<std::mutex> lock(mu_);
+    CollectZombiesLocked();
+  }
   return env_->GetDirectorySize(options_.dir, bytes);
 }
 

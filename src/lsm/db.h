@@ -189,7 +189,8 @@ class DB {
   Status Get(const ReadOptions& read_options, const Slice& key,
              std::string* value);
 
-  /// Collects up to `count` live records with key >= start, in key order.
+  /// Collects up to `count` live records with key >= start (and below
+  /// read_options.upper_bound, if set), in key order.
   Status Scan(const ReadOptions& read_options, const Slice& start, int count,
               std::vector<std::pair<std::string, std::string>>* out);
 
@@ -209,7 +210,8 @@ class DB {
   Status CompactAll();
 
   /// Total bytes currently on disk under the database directory
-  /// (SSTables + WAL + MANIFEST).
+  /// (SSTables + WAL + MANIFEST). Compacted tables no reader holds any
+  /// longer are unlinked first, so they are not counted.
   Status DiskUsage(uint64_t* bytes);
 
   /// Walks every SSTable end to end: block checksums, key ordering
@@ -284,9 +286,16 @@ class DB {
   /// republishes it. shared_ptrs keep rotated memtables and compacted
   /// tables alive for readers still holding an old view.
   struct ReadView {
+    /// A live table with its manifest key range, so a read can rule the
+    /// table out without touching its index or blocks.
+    struct TableRef {
+      std::shared_ptr<Table> table;
+      std::string smallest;
+      std::string largest;
+    };
     std::shared_ptr<MemTable> mem;
     std::shared_ptr<MemTable> imm;  // null when none
-    std::vector<std::shared_ptr<Table>> tables;
+    std::vector<TableRef> tables;
   };
 
   explicit DB(const Options& options);
@@ -331,7 +340,8 @@ class DB {
   /// with mu_ held.
   void HelpApplyGroup(const std::shared_ptr<GroupApply>& group);
 
-  /// Republishes the reader view from mem_/imm_/tables_. Requires mu_.
+  /// Republishes the reader view from mem_/imm_ and the live version's
+  /// tables (level order). Requires mu_.
   void RefreshViewLocked();
 
   /// Copies the current reader view under the view latch. Readers call

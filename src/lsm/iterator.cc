@@ -72,8 +72,11 @@ class MergingIterator final : public Iterator {
 /// and optionally hides tombstones.
 class DedupIterator final : public Iterator {
  public:
-  DedupIterator(std::unique_ptr<Iterator> input, bool skip_tombstones)
-      : input_(std::move(input)), skip_tombstones_(skip_tombstones) {}
+  DedupIterator(std::unique_ptr<Iterator> input, bool skip_tombstones,
+                Slice upper_bound)
+      : input_(std::move(input)),
+        skip_tombstones_(skip_tombstones),
+        upper_bound_(upper_bound) {}
 
   bool Valid() const override { return valid_; }
 
@@ -107,6 +110,7 @@ class DedupIterator final : public Iterator {
     valid_ = false;
     while (input_->Valid()) {
       Slice k = input_->key();
+      if (!upper_bound_.empty() && k.Compare(upper_bound_) >= 0) return;
       if (has_last_key_ && k == Slice(last_key_)) {
         input_->Next();  // shadowed by a newer entry already emitted
         continue;
@@ -129,6 +133,7 @@ class DedupIterator final : public Iterator {
 
   std::unique_ptr<Iterator> input_;
   bool skip_tombstones_;
+  Slice upper_bound_;
   bool valid_ = false;
   bool has_last_key_ = false;
   std::string last_key_;
@@ -146,8 +151,10 @@ std::unique_ptr<Iterator> NewMergingIterator(
 }
 
 std::unique_ptr<Iterator> NewDedupIterator(std::unique_ptr<Iterator> input,
-                                           bool skip_tombstones) {
-  return std::make_unique<DedupIterator>(std::move(input), skip_tombstones);
+                                           bool skip_tombstones,
+                                           Slice upper_bound) {
+  return std::make_unique<DedupIterator>(std::move(input), skip_tombstones,
+                                         upper_bound);
 }
 
 }  // namespace apmbench::lsm

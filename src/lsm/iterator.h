@@ -42,9 +42,13 @@ std::unique_ptr<Iterator> NewMergingIterator(
     std::vector<std::unique_ptr<Iterator>> children);
 
 /// Keeps only the newest entry of each key from a merging iterator and,
-/// when `skip_tombstones` is set, hides deleted keys.
+/// when `skip_tombstones` is set, hides deleted keys. A non-empty
+/// `upper_bound` (exclusive; its bytes must outlive the iterator) ends
+/// the iteration at the first input key >= it, so hidden entries past the
+/// bound are never walked.
 std::unique_ptr<Iterator> NewDedupIterator(std::unique_ptr<Iterator> input,
-                                           bool skip_tombstones);
+                                           bool skip_tombstones,
+                                           Slice upper_bound = Slice());
 
 }  // namespace apmbench::lsm
 

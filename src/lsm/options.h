@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/compression.h"
+#include "common/slice.h"
 
 namespace apmbench {
 class Env;
@@ -167,6 +168,15 @@ struct ReadOptions {
   /// range and may skip entire tables via their prefix bloom filters.
   /// Ignored by Get.
   bool prefix_same_as_start = false;
+
+  /// Scan-only: exclusive upper bound on the keys a scan returns; empty
+  /// means none (RocksDB's iterate_upper_bound). The scan stops at the
+  /// first key >= the bound without walking past it, not even over
+  /// tombstones, and never opens a table whose manifest key range lies
+  /// wholly outside [start, upper_bound). Combines with
+  /// prefix_same_as_start: the scan ends at whichever limit comes first.
+  /// The bytes must outlive the call. Ignored by Get.
+  Slice upper_bound;
 };
 
 }  // namespace apmbench::lsm

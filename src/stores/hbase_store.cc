@@ -1,6 +1,6 @@
 #include "stores/hbase_store.h"
 
-#include <algorithm>
+#include <iterator>
 
 #include "common/clock.h"
 #include "common/coding.h"
@@ -48,6 +48,30 @@ bool DecodeCellValue(const Slice& cell_value, Slice* value) {
 /// `last_cell_key` with a NUL byte when a page ended exactly there.)
 std::string NextCellCursor(const std::string& last_cell_key) {
   return last_cell_key + '\0';
+}
+
+/// Collects every cell (key, encoded value) of `row` from `db`.
+Status RowCells(lsm::DB* db, const Slice& row,
+                std::vector<std::pair<std::string, std::string>>* cells) {
+  cells->clear();
+  // A row's cells are exactly the keys in [row + '\0', row + '\x01'):
+  // the bound keeps the scan off a neighbour like row + "0".
+  const std::string row_end = row.ToString() + '\x01';
+  lsm::ReadOptions read_options;
+  read_options.upper_bound = Slice(row_end);
+  // Page through the cells: a wide row can span engine scan batches, and
+  // stopping after one batch would silently truncate it.
+  std::string scan_from = row.ToString() + '\0';
+  for (;;) {
+    std::vector<std::pair<std::string, std::string>> page;
+    APM_RETURN_IF_ERROR(
+        db->Scan(read_options, Slice(scan_from), kCellBatch, &page));
+    const bool more = static_cast<int>(page.size()) == kCellBatch;
+    if (more) scan_from = NextCellCursor(page.back().first);
+    cells->insert(cells->end(), std::make_move_iterator(page.begin()),
+                  std::make_move_iterator(page.end()));
+    if (!more) return Status::OK();
+  }
 }
 
 /// Default pre-split sample: the YCSB key space ("user" + FNV-hashed
@@ -172,83 +196,59 @@ Status HBaseStore::Read(const std::string& table, const Slice& key,
                         ycsb::Record* record) {
   (void)table;
   record->clear();
-  int node = regions_.Route(key);
-  lsm::DB* db = nodes_[static_cast<size_t>(node)].get();
-  std::string prefix = key.ToString();
-  prefix.push_back('\0');
-  // Page through the row's cells: a wide row can span engine scan
-  // batches, and stopping after one batch would silently truncate it.
-  std::string scan_from = prefix;
-  for (;;) {
-    std::vector<std::pair<std::string, std::string>> cells;
-    APM_RETURN_IF_ERROR(
-        db->Scan(lsm::ReadOptions(), Slice(scan_from), kCellBatch, &cells));
-    bool past_row = false;
-    for (const auto& [cell_key, cell_value] : cells) {
-      if (!Slice(cell_key).StartsWith(Slice(prefix))) {
-        past_row = true;
-        break;
-      }
-      Slice row, qualifier, value;
-      if (!ParseCellKey(Slice(cell_key), &row, &qualifier) ||
-          !DecodeCellValue(Slice(cell_value), &value)) {
-        return Status::Corruption("bad cell");
-      }
-      record->emplace_back(qualifier.ToString(), value.ToString());
+  std::vector<std::pair<std::string, std::string>> cells;
+  APM_RETURN_IF_ERROR(RowCells(
+      nodes_[static_cast<size_t>(regions_.Route(key))].get(), key, &cells));
+  if (cells.empty()) return Status::NotFound();
+  record->reserve(cells.size());
+  for (const auto& [cell_key, cell_value] : cells) {
+    Slice row, qualifier, value;
+    if (!ParseCellKey(Slice(cell_key), &row, &qualifier) ||
+        !DecodeCellValue(Slice(cell_value), &value)) {
+      return Status::Corruption("bad cell");
     }
-    if (past_row || static_cast<int>(cells.size()) < kCellBatch) break;
-    scan_from = NextCellCursor(cells.back().first);
+    record->emplace_back(qualifier.ToString(), value.ToString());
   }
-  if (record->empty()) return Status::NotFound();
   return Status::OK();
 }
 
-Status HBaseStore::CollectRows(
-    int node, const std::string& cursor, const std::string& region_end,
-    int max_rows, std::vector<std::pair<std::string, ycsb::Record>>* rows) {
+Status HBaseStore::CollectRows(int node, const std::string& cursor,
+                               const std::string& region_end, int count,
+                               std::vector<ycsb::KeyedRecord>* rows) {
   lsm::DB* db = nodes_[static_cast<size_t>(node)].get();
+  // A cell key row + '\0' + ... sorts below region_end exactly when its
+  // row does (row keys hold no NUL), so the engine stops at the region's
+  // end by itself.
+  lsm::ReadOptions read_options;
+  read_options.upper_bound = Slice(region_end);
   std::string scan_from = cursor;
-  std::string current_row;
-  ycsb::Record current_record;
+  ycsb::KeyedRecord current;
   for (;;) {
     std::vector<std::pair<std::string, std::string>> cells;
     APM_RETURN_IF_ERROR(
-        db->Scan(lsm::ReadOptions(), Slice(scan_from), kCellBatch, &cells));
-    if (cells.empty()) break;
+        db->Scan(read_options, Slice(scan_from), kCellBatch, &cells));
     for (const auto& [cell_key, cell_value] : cells) {
       Slice row, qualifier, value;
       if (!ParseCellKey(Slice(cell_key), &row, &qualifier)) {
         continue;  // not a cell (defensive)
       }
-      if (!region_end.empty() && row.Compare(Slice(region_end)) >= 0) {
-        // Past this region: flush the open row and stop.
-        if (!current_row.empty() &&
-            static_cast<int>(rows->size()) < max_rows) {
-          rows->emplace_back(current_row, std::move(current_record));
+      if (row.ToView() != current.key) {
+        if (!current.key.empty()) {
+          rows->push_back(std::move(current));
+          current = ycsb::KeyedRecord();
+          if (static_cast<int>(rows->size()) >= count) return Status::OK();
         }
-        return Status::OK();
-      }
-      if (row.ToView() != current_row) {
-        if (!current_row.empty()) {
-          rows->emplace_back(current_row, std::move(current_record));
-          current_record = ycsb::Record();
-          if (static_cast<int>(rows->size()) >= max_rows) {
-            return Status::OK();
-          }
-        }
-        current_row = row.ToString();
+        current.key = row.ToString();
       }
       if (!DecodeCellValue(Slice(cell_value), &value)) {
         return Status::Corruption("bad cell value");
       }
-      current_record.emplace_back(qualifier.ToString(), value.ToString());
+      current.record.emplace_back(qualifier.ToString(), value.ToString());
     }
     if (static_cast<int>(cells.size()) < kCellBatch) break;  // exhausted
     scan_from = NextCellCursor(cells.back().first);
   }
-  if (!current_row.empty() && static_cast<int>(rows->size()) < max_rows) {
-    rows->emplace_back(current_row, std::move(current_record));
-  }
+  if (!current.key.empty()) rows->push_back(std::move(current));
   return Status::OK();
 }
 
@@ -257,75 +257,33 @@ Status HBaseStore::ScanKeyed(const std::string& table,
                              std::vector<ycsb::KeyedRecord>* records) {
   (void)table;
   records->clear();
-  // Ordered regions partition the key space, so a wave of consecutive
-  // regions can be scanned in parallel and concatenated in region order
-  // — the parallel-scanner pattern of HBase clients. Each wave spans up
-  // to one region per region server; most 50-record scans finish in the
-  // first wave's first region, the rest walk on wave by wave.
-  std::vector<std::pair<std::string, ycsb::Record>> rows;
-  int region = regions_.RegionOf(start_key);
+  // Ordered regions partition the key space, so walking them in order on
+  // the caller's thread until `count` rows are in yields the rows in key
+  // order — what HBase's ClientScanner does. Nearly every 50-row scan
+  // ends inside its first region; fetching the next region in parallel
+  // would almost always be thrown away.
   std::string cursor = start_key.ToString();
-  while (static_cast<int>(rows.size()) < count &&
-         region < regions_.num_regions()) {
-    const int wave = std::min(regions_.num_regions() - region,
-                              std::max(1, regions_.num_servers()));
-    std::vector<std::vector<std::pair<std::string, ycsb::Record>>> runs(
-        static_cast<size_t>(wave));
-    std::vector<FanoutExecutor::Task> tasks;
-    tasks.reserve(static_cast<size_t>(wave));
-    const int want = count - static_cast<int>(rows.size());
-    for (int w = 0; w < wave; w++) {
-      const int r = region + w;
-      std::string from = w == 0 ? cursor : regions_.RegionEndKey(r - 1);
-      tasks.push_back([this, &runs, w, r, from = std::move(from), want]() {
-        return CollectRows(r % regions_.num_servers(), from,
-                           regions_.RegionEndKey(r), want, &runs[w]);
-      });
-    }
-    APM_RETURN_IF_ERROR(fanout_.RunAll(std::move(tasks)));
-    for (auto& run : runs) {
-      for (auto& row : run) {
-        if (static_cast<int>(rows.size()) >= count) break;
-        rows.push_back(std::move(row));
-      }
-    }
-    region += wave;
-    cursor = regions_.RegionEndKey(region - 1);
-  }
-  records->reserve(rows.size());
-  for (auto& [row, record] : rows) {
-    records->push_back(ycsb::KeyedRecord{row, std::move(record)});
+  for (int r = regions_.RegionOf(start_key);
+       r < regions_.num_regions() && static_cast<int>(records->size()) < count;
+       r++) {
+    std::string region_end = regions_.RegionEndKey(r);
+    APM_RETURN_IF_ERROR(CollectRows(r % regions_.num_servers(), cursor,
+                                    region_end, count, records));
+    cursor = std::move(region_end);
   }
   return Status::OK();
 }
 
 Status HBaseStore::Delete(const std::string& table, const Slice& key) {
   (void)table;
-  int node = regions_.Route(key);
-  lsm::DB* db = nodes_[static_cast<size_t>(node)].get();
-  std::string prefix = key.ToString();
-  prefix.push_back('\0');
-  // Page like Read does: deleting only the first batch of a wide row
-  // would leave the tail behind and resurrect the row on the next read.
+  lsm::DB* db = nodes_[static_cast<size_t>(regions_.Route(key))].get();
+  // Deleting only part of a row would resurrect it on the next read, so
+  // every cell goes, in one batch.
+  std::vector<std::pair<std::string, std::string>> cells;
+  APM_RETURN_IF_ERROR(RowCells(db, key, &cells));
+  if (cells.empty()) return Status::NotFound();
   lsm::WriteBatch batch;
-  std::string scan_from = prefix;
-  for (;;) {
-    std::vector<std::pair<std::string, std::string>> cells;
-    APM_RETURN_IF_ERROR(
-        db->Scan(lsm::ReadOptions(), Slice(scan_from), kCellBatch, &cells));
-    bool past_row = false;
-    for (const auto& [cell_key, cell_value] : cells) {
-      (void)cell_value;
-      if (!Slice(cell_key).StartsWith(Slice(prefix))) {
-        past_row = true;
-        break;
-      }
-      batch.Delete(Slice(cell_key));
-    }
-    if (past_row || static_cast<int>(cells.size()) < kCellBatch) break;
-    scan_from = NextCellCursor(cells.back().first);
-  }
-  if (batch.Count() == 0) return Status::NotFound();
+  for (const auto& cell : cells) batch.Delete(Slice(cell.first));
   return db->Write(batch);
 }
 

@@ -57,14 +57,16 @@ class HBaseStore final : public ycsb::DB {
  private:
   HBaseStore(const StoreOptions& options, cluster::RegionMap regions);
 
-  /// Collects whole rows from one node starting at `cursor`, stopping at
-  /// `region_end` (exclusive; empty = unbounded) or `max_rows`.
+  /// Appends whole rows from one node starting at `cursor` to `rows`,
+  /// stopping at `region_end` (exclusive; empty = unbounded) or once
+  /// `rows` holds `count` rows.
   Status CollectRows(int node, const std::string& cursor,
-                     const std::string& region_end, int max_rows,
-                     std::vector<std::pair<std::string, ycsb::Record>>* rows);
+                     const std::string& region_end, int count,
+                     std::vector<ycsb::KeyedRecord>* rows);
 
   StoreOptions options_;
   cluster::RegionMap regions_;
+  /// Runs DiskUsage over the nodes in parallel.
   FanoutExecutor fanout_;
   std::vector<std::unique_ptr<lsm::DB>> nodes_;
 };

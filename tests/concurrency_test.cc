@@ -244,10 +244,12 @@ TEST(GroupCommitLogTest, QueuedAppendsShareOneSync) {
   // The leader has appended and is blocked in Sync.
   WaitFor([&] { return gate.blocked() == 1; });
 
+  // Followers start one at a time, so their enqueue order (and with it
+  // the file contents) is fixed. appends counts enqueues; the log's mutex
+  // is free while the leader syncs.
   std::thread follower_b([&] { ASSERT_TRUE(log.Append("b", true).ok()); });
+  WaitFor([&] { return log.GetStats().appends == 2; });
   std::thread follower_c([&] { ASSERT_TRUE(log.Append("c", true).ok()); });
-  // Both followers have staged their records (appends counts enqueues;
-  // the log's mutex is free while the leader syncs).
   WaitFor([&] { return log.GetStats().appends == 3; });
 
   gate.Open();
@@ -746,11 +748,12 @@ TEST(FanoutExecutorTest, ConcurrentBatchesFromManyCallers) {
 
 // --- Concurrent cross-shard scans ---------------------------------------
 //
-// Every store whose ScanKeyed fans out to multiple nodes (Redis client
-// sharding, Cassandra random partitioning, HBase region waves) runs the
-// same check: over a static preloaded key set, concurrent scanners from
-// many threads must each see the exact globally-ordered window, while
-// the k-way merge and the fan-out executor are hammered in parallel.
+// Every store whose ScanKeyed spans multiple nodes runs the same check:
+// over a static preloaded key set, concurrent scanners from many threads
+// must each see the exact globally-ordered window. Redis (client
+// sharding) and Cassandra (random partitioning) fan out and k-way merge,
+// hammering the fan-out executor in parallel; HBase walks its ordered
+// regions one at a time, switching servers at each region end.
 class StoreFanoutScanTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(StoreFanoutScanTest, ConcurrentScansSeeOrderedWindows) {

@@ -246,6 +246,144 @@ TEST(HBaseStoreTest, ScanResumesExactlyAtCellBatchEdge) {
   EXPECT_EQ(out.back().record.size(), 2u);
 }
 
+// --- Region and row boundaries ---------------------------------------------
+// Read/Delete bound their engine scan to one row's cells and ScanKeyed
+// bounds each region's scan at the region's end key; past scan bugs
+// clustered exactly at such edges, so these compare against a model.
+
+ycsb::Record RowRecord(const std::string& key) {
+  ycsb::Record record;
+  for (int i = 0; i < 5; i++) {
+    record.emplace_back("field" + std::to_string(i),
+                        key + "/" + std::to_string(i));
+  }
+  return record;
+}
+
+TEST(HBaseStoreTest, ScansAcrossRegionsMatchModel) {
+  ScopedTempDir dir("hbase-regions");
+  StoreOptions options;
+  options.base_dir = dir.path();
+  options.num_nodes = 2;
+  options.regions_per_server = 2;
+  options.memtable_bytes = 16 * 1024;  // rows spread over tables too
+  for (int i = 0; i < 400; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "row%03d", i);
+    options.region_split_sample.push_back(key);
+  }
+  std::unique_ptr<HBaseStore> store;
+  ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
+  const cluster::RegionMap& regions = store->regions();
+  ASSERT_EQ(regions.num_regions(), 4);
+
+  // Every third row, every region end key itself, and keys that extend a
+  // region end key ("row1000" sorts right after "row100").
+  std::map<std::string, ycsb::Record> model;
+  auto insert = [&](const std::string& key) {
+    ASSERT_TRUE(store->Insert("t", key, RowRecord(key)).ok());
+    model[key] = RowRecord(key);
+  };
+  for (int i = 0; i < 400; i += 3) {
+    char key[16];
+    snprintf(key, sizeof(key), "row%03d", i);
+    insert(key);
+  }
+  for (int r = 0; r + 1 < regions.num_regions(); r++) {
+    insert(regions.RegionEndKey(r));
+    insert(regions.RegionEndKey(r) + "0");
+  }
+
+  auto check = [&](const std::string& start, int count) {
+    std::vector<ycsb::KeyedRecord> got;
+    ASSERT_TRUE(store->ScanKeyed("t", start, count, &got).ok());
+    std::vector<ycsb::KeyedRecord> expected;
+    for (auto it = model.lower_bound(start);
+         it != model.end() && static_cast<int>(expected.size()) < count;
+         ++it) {
+      expected.push_back({it->first, it->second});
+    }
+    ASSERT_EQ(got.size(), expected.size()) << "start=" << start;
+    for (size_t i = 0; i < got.size(); i++) {
+      EXPECT_EQ(got[i].key, expected[i].key) << "start=" << start;
+      EXPECT_EQ(got[i].record, expected[i].record) << got[i].key;
+    }
+  };
+
+  // Starting exactly at a region's end key, which is a present row here
+  // (the end of the test repeats this with the row deleted).
+  check(regions.RegionEndKey(0), 10);
+  check(regions.RegionEndKey(1), 1);
+  // Crossing at least three regions, which alternate between the nodes.
+  std::vector<ycsb::KeyedRecord> wide;
+  ASSERT_TRUE(store->ScanKeyed("t", "row050", 150, &wide).ok());
+  ASSERT_FALSE(wide.empty());
+  EXPECT_GE(regions.RegionOf(Slice(wide.back().key)) -
+                regions.RegionOf(Slice("row050")),
+            2);
+  check("row050", 150);
+  check("", 1000);
+  // More rows asked for than the last region holds.
+  check(regions.RegionEndKey(2), 500);
+  check("row399", 10);
+  check("zzz", 10);
+  Random rng(5);
+  for (int trial = 0; trial < 100; trial++) {
+    char key[16];
+    snprintf(key, sizeof(key), "row%03d", static_cast<int>(rng.Uniform(420)));
+    check(key, 1 + static_cast<int>(rng.Uniform(80)));
+  }
+
+  const std::string edge = regions.RegionEndKey(0);
+  ASSERT_TRUE(store->Delete("t", edge).ok());
+  model.erase(edge);
+  check(edge, 10);
+  check("row090", 10);
+}
+
+TEST(HBaseStoreTest, ReadAndDeleteStayInsideTheirRow) {
+  ScopedTempDir dir("hbase-rows");
+  StoreOptions options;
+  options.base_dir = dir.path();
+  options.num_nodes = 1;
+  options.regions_per_server = 1;
+  std::unique_ptr<HBaseStore> store;
+  ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
+
+  // user1's cells sort directly before user10's and user100's: a row
+  // scan that ran on past user1's last cell would pick theirs up.
+  std::map<std::string, ycsb::Record> model;
+  for (const char* key : {"user0", "user1", "user10", "user100", "user2"}) {
+    ASSERT_TRUE(store->Insert("t", key, RowRecord(key)).ok());
+    model[key] = RowRecord(key);
+  }
+  auto check_all = [&]() {
+    for (const char* key : {"user", "user0", "user1", "user10", "user100",
+                            "user2", "user3"}) {
+      ycsb::Record got;
+      Status s = store->Read("t", key, &got);
+      auto it = model.find(key);
+      if (it == model.end()) {
+        EXPECT_TRUE(s.IsNotFound()) << key << " " << s.ToString();
+      } else {
+        ASSERT_TRUE(s.ok()) << key << " " << s.ToString();
+        EXPECT_EQ(got, it->second) << key;
+      }
+    }
+  };
+  check_all();
+
+  ASSERT_TRUE(store->Delete("t", "user1").ok());
+  model.erase("user1");
+  check_all();
+  EXPECT_TRUE(store->Delete("t", "user1").IsNotFound());
+  EXPECT_TRUE(store->Delete("t", "user").IsNotFound());
+
+  ASSERT_TRUE(store->Delete("t", "user10").ok());
+  model.erase("user10");
+  check_all();
+}
+
 TEST(HBaseStoreTest, PerCellStorageInflatesDisk) {
   ScopedTempDir dir_h("hbase-disk");
   ScopedTempDir dir_c("cassandra-disk");
