@@ -67,29 +67,20 @@ struct Options {
   /// Target uncompressed size of one SSTable data block.
   size_t block_size = 4 * 1024;
 
-  /// On-disk SSTable format written by flushes and compactions.
-  ///   1: plain blocks, full key per entry (the original format).
-  ///   2: prefix-compressed keys with restart points, versioned footer,
-  ///      optional prefix bloom filter.
-  /// Readers always understand both; compaction rewrites v1 tables into
-  /// the configured version, so a DB opened with format_version=2 over an
-  /// old directory converges to v2 as compaction touches each table.
-  uint32_t format_version = 2;
-
-  /// Format v2: number of entries between restart points in a block.
-  /// Keys between restarts share a prefix with their predecessor; larger
-  /// intervals compress better, smaller intervals make in-block seeks
-  /// cheaper. Clamped to >= 1.
+  /// Number of entries between restart points in an SSTable block (see
+  /// docs/FORMATS.md). Keys between restarts share a prefix with their
+  /// predecessor; larger intervals compress better, smaller intervals make
+  /// in-block seeks cheaper. 1 stores every key in full. Clamped to >= 1.
   int block_restart_interval = 16;
 
   /// Bloom filter bits per key in each SSTable (0 disables filters).
   int bloom_bits_per_key = 10;
 
-  /// Format v2: when > 0, each table additionally stores a bloom filter
-  /// over the first `prefix_bloom_length` bytes of its keys. Range scans
-  /// issued with ReadOptions::prefix_same_as_start can then skip whole
-  /// tables that contain no key with the scan's prefix, the way point
-  /// gets already skip on the full-key bloom. 0 disables prefix blooms.
+  /// When > 0, each table additionally stores a bloom filter over the
+  /// first `prefix_bloom_length` bytes of its keys. Range scans issued
+  /// with ReadOptions::prefix_same_as_start can then skip whole tables
+  /// that contain no key with the scan's prefix, the way point gets
+  /// already skip on the full-key bloom. 0 disables prefix blooms.
   size_t prefix_bloom_length = 0;
 
   /// Per-block compression of SSTable data blocks. The paper ran all

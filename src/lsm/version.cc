@@ -5,15 +5,13 @@
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/slice.h"
+#include "lsm/sstable.h"
 
 namespace apmbench::lsm {
 
 namespace {
-// Manifest format v1 predates per-file table-format tracking; v2 adds a
-// fixed32 format_version to every file record. Recovery accepts both so
-// a database written before the storage-format refactor still opens (its
-// files report format_version 0 = unknown until rewritten).
-constexpr uint64_t kManifestMagicV1 = 0x41504d4d414e4631ull;  // "APMMANF1"
+// Every file record carries a fixed32 table format version; it is always
+// kTableFormatV2, and Recover rejects any other value.
 constexpr uint64_t kManifestMagicV2 = 0x41504d4d414e4632ull;  // "APMMANF2"
 }  // namespace
 
@@ -51,7 +49,7 @@ Status VersionSet::Persist() {
       PutFixed64(&body, f.number);
       PutFixed64(&body, f.file_size);
       PutFixed64(&body, f.num_entries);
-      PutFixed32(&body, f.format_version);
+      PutFixed32(&body, kTableFormatV2);
       PutLengthPrefixedSlice(&body, Slice(f.smallest));
       PutLengthPrefixedSlice(&body, Slice(f.largest));
     }
@@ -86,10 +84,9 @@ Status VersionSet::Recover(bool* found) {
   Slice in(body.data(), body.size() - 4);
   uint64_t magic;
   GetFixed64(&in, &magic);
-  if (magic != kManifestMagicV1 && magic != kManifestMagicV2) {
+  if (magic != kManifestMagicV2) {
     return Status::Corruption("bad manifest magic");
   }
-  const bool has_format_version = magic == kManifestMagicV2;
   uint64_t next_file = 0;
   GetFixed64(&in, &next_file);
   next_file_number_.store(next_file);
@@ -101,15 +98,21 @@ Status VersionSet::Recover(bool* found) {
   levels_.assign(Options::kNumLevels, {});
   for (uint32_t i = 0; i < count; i++) {
     uint32_t level;
+    uint32_t format_version;
     FileMeta f;
     Slice smallest, largest;
     if (!GetFixed32(&in, &level) || level >= Options::kNumLevels ||
         !GetFixed64(&in, &f.number) || !GetFixed64(&in, &f.file_size) ||
         !GetFixed64(&in, &f.num_entries) ||
-        (has_format_version && !GetFixed32(&in, &f.format_version)) ||
+        !GetFixed32(&in, &format_version) ||
         !GetLengthPrefixedSlice(&in, &smallest) ||
         !GetLengthPrefixedSlice(&in, &largest)) {
       return Status::Corruption("bad manifest file record");
+    }
+    if (format_version != kTableFormatV2) {
+      return Status::Corruption("unsupported table format version " +
+                                std::to_string(format_version) +
+                                " in manifest");
     }
     f.smallest = smallest.ToString();
     f.largest = largest.ToString();

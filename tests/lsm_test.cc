@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/crc32.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "lsm/bloom.h"
@@ -422,7 +423,7 @@ TEST_F(SSTableTest, CorruptBlockDetected) {
   EXPECT_TRUE(s.IsCorruption());
 }
 
-// --- v2 block format: prefix compression + restart points -----------------
+// --- block format: prefix compression + restart points --------------------
 
 // Encodes a v2 data-block payload: flags byte, varint seq, value bytes.
 std::string DataPayload(uint64_t seq, const std::string& value,
@@ -440,7 +441,7 @@ TEST(BlockV2Test, EmptyBlock) {
   Slice raw = builder.Finish();
   EXPECT_GE(raw.size(), 8u);  // restart array (entry 0) + count
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   EXPECT_FALSE(cursor.SeekToFirst());
   EXPECT_FALSE(cursor.SeekToLast());
   EXPECT_FALSE(cursor.Seek("anything"));
@@ -452,7 +453,7 @@ TEST(BlockV2Test, SingleKeyBlock) {
   builder.Add("only", DataPayload(7, "val"));
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   ASSERT_TRUE(cursor.SeekToFirst());
   EXPECT_EQ(cursor.key().ToString(), "only");
   EXPECT_EQ(cursor.value().ToString(), "val");
@@ -487,7 +488,7 @@ TEST(BlockV2Test, SeekAcrossRestartBoundaries) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   for (int i = 0; i < kKeys; i++) {
     // Exact key.
     ASSERT_TRUE(cursor.Seek(keys[i])) << keys[i];
@@ -524,7 +525,7 @@ TEST(BlockV2Test, SeekToLastAndFullIteration) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   ASSERT_TRUE(cursor.SeekToLast());
   EXPECT_EQ(cursor.key().ToString(), "k9");
   EXPECT_EQ(cursor.value().ToString(), "9");
@@ -556,7 +557,7 @@ TEST(BlockV2Test, KeysSharingFullPrefixes) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   ASSERT_TRUE(cursor.SeekToFirst());
   for (size_t i = 0; i < keys.size(); i++) {
     ASSERT_TRUE(cursor.Valid());
@@ -584,7 +585,7 @@ TEST(BlockV2Test, InterleavedTombstones) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   int n = 0;
   for (bool ok = cursor.SeekToFirst(); ok; ok = cursor.Next()) {
     EXPECT_EQ(cursor.tombstone(), n % 2 == 1) << n;
@@ -616,7 +617,7 @@ TEST(BlockV2Test, IndexBlockPayloadsAreOpaque) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2, /*data_block=*/false);
+  BlockCursor cursor(raw, /*data_block=*/false);
   int n = 0;
   for (bool ok = cursor.SeekToFirst(); ok; ok = cursor.Next()) {
     ASSERT_LT(n, 5);
@@ -627,57 +628,50 @@ TEST(BlockV2Test, IndexBlockPayloadsAreOpaque) {
   EXPECT_FALSE(cursor.corrupt());
 }
 
-// --- table format versioning ----------------------------------------------
+// --- table format ----------------------------------------------------------
 
 TEST_F(SSTableTest, WriterEmitsConfiguredFormatVersion) {
-  for (uint32_t version : {kTableFormatV1, kTableFormatV2}) {
-    std::string path =
-        dir_.path() + "/fmt" + std::to_string(version) + ".sst";
-    options_.format_version = version;
-    TableBuilder builder(options_, Env::Default(), path);
-    ASSERT_TRUE(builder.Open().ok());
-    EXPECT_EQ(builder.format_version(), version);
-    for (int i = 0; i < 300; i++) {
-      char key[24];
-      snprintf(key, sizeof(key), "common/prefix/%05d", i);
-      ASSERT_TRUE(
-          builder.Add(key, "value", static_cast<uint64_t>(i + 1), false)
-              .ok());
-    }
-    ASSERT_TRUE(builder.Finish().ok());
+  std::string path = dir_.path() + "/fmt.sst";
+  TableBuilder builder(options_, Env::Default(), path);
+  ASSERT_TRUE(builder.Open().ok());
+  for (int i = 0; i < 300; i++) {
+    char key[24];
+    snprintf(key, sizeof(key), "common/prefix/%05d", i);
+    ASSERT_TRUE(
+        builder.Add(key, "value", static_cast<uint64_t>(i + 1), false).ok());
+  }
+  ASSERT_TRUE(builder.Finish().ok());
 
-    TableFooter footer;
-    ASSERT_TRUE(ReadTableFooter(Env::Default(), path, &footer).ok());
-    EXPECT_EQ(footer.format_version, version);
+  TableFooter footer;
+  ASSERT_TRUE(ReadTableFooter(Env::Default(), path, &footer).ok());
+  EXPECT_EQ(footer.format_version, 2u);
 
-    BlockCache cache(1 << 20);
-    std::unique_ptr<Table> table;
-    ASSERT_TRUE(Table::Open(options_, Env::Default(), path, version, &cache,
-                            &table)
-                    .ok());
-    EXPECT_EQ(table->format_version(), version);
-    for (int i = 0; i < 300; i += 17) {
-      char key[24];
-      snprintf(key, sizeof(key), "common/prefix/%05d", i);
-      Table::GetResult result;
-      std::string value;
-      ASSERT_TRUE(
-          table->Get(ReadOptions(), key, &result, &value, nullptr).ok());
-      ASSERT_EQ(result, Table::GetResult::kFound) << key;
-      EXPECT_EQ(value, "value");
-    }
+  BlockCache cache(1 << 20);
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(
+      Table::Open(options_, Env::Default(), path, 2, &cache, &table).ok());
+  for (int i = 0; i < 300; i += 17) {
+    char key[24];
+    snprintf(key, sizeof(key), "common/prefix/%05d", i);
+    Table::GetResult result;
+    std::string value;
+    ASSERT_TRUE(table->Get(ReadOptions(), key, &result, &value, nullptr).ok());
+    ASSERT_EQ(result, Table::GetResult::kFound) << key;
+    EXPECT_EQ(value, "value");
   }
 }
 
-TEST_F(SSTableTest, V2IndexSmallerThanV1) {
+TEST_F(SSTableTest, PrefixCompressionShrinksTableAndIndex) {
   // Long keys with a heavy shared prefix: both the data blocks and the
-  // index entries (last key per block) compress well under v2.
-  uint64_t sizes[3] = {0, 0, 0};  // indexed by format version
-  uint64_t index_sizes[3] = {0, 0, 0};
-  for (uint32_t version : {kTableFormatV1, kTableFormatV2}) {
+  // index entries (last key per block) compress well once keys may share
+  // a prefix. Restart interval 1 stores every key in full.
+  uint64_t sizes[2] = {0, 0};
+  uint64_t index_sizes[2] = {0, 0};
+  const int intervals[2] = {1, 16};
+  for (int run = 0; run < 2; run++) {
     std::string path =
-        dir_.path() + "/cmp" + std::to_string(version) + ".sst";
-    options_.format_version = version;
+        dir_.path() + "/cmp" + std::to_string(intervals[run]) + ".sst";
+    options_.block_restart_interval = intervals[run];
     TableBuilder builder(options_, Env::Default(), path);
     ASSERT_TRUE(builder.Open().ok());
     for (int i = 0; i < 2000; i++) {
@@ -688,11 +682,11 @@ TEST_F(SSTableTest, V2IndexSmallerThanV1) {
     ASSERT_TRUE(builder.Finish().ok());
     TableFooter footer;
     ASSERT_TRUE(ReadTableFooter(Env::Default(), path, &footer).ok());
-    sizes[version] = builder.FileSize();
-    index_sizes[version] = footer.index_size;
+    sizes[run] = builder.FileSize();
+    index_sizes[run] = footer.index_size;
   }
-  EXPECT_LT(sizes[2], sizes[1]);
-  EXPECT_LT(index_sizes[2], index_sizes[1]);
+  EXPECT_LT(sizes[1], sizes[0]);
+  EXPECT_LT(index_sizes[1], index_sizes[0]);
 }
 
 TEST_F(SSTableTest, PrefixBloomFiltersAbsentPrefixes) {
@@ -734,7 +728,6 @@ TEST_F(SSTableTest, PrefixBloomFiltersAbsentPrefixes) {
 
 TEST_F(SSTableTest, FooterRejectsUnknownVersionAndMagic) {
   std::string path = dir_.path() + "/vt.sst";
-  options_.format_version = kTableFormatV2;
   TableBuilder builder(options_, Env::Default(), path);
   ASSERT_TRUE(builder.Open().ok());
   ASSERT_TRUE(builder.Add("k", "v", 1, false).ok());
@@ -743,36 +736,74 @@ TEST_F(SSTableTest, FooterRejectsUnknownVersionAndMagic) {
   std::string data;
   ASSERT_TRUE(Env::Default()->ReadFileToString(path, &data).ok());
 
-  // Patch the footer's format_version (the fixed32 just before the
-  // trailing fixed64 magic) to an unknown value.
-  std::string future = data;
-  std::string version99;
-  PutFixed32(&version99, 99);
-  future.replace(future.size() - 12, 4, version99);
-  std::string future_path = dir_.path() + "/vt_future.sst";
-  ASSERT_TRUE(
-      Env::Default()->WriteStringToFile(future_path, Slice(future)).ok());
+  // Footer fields, counted back from the end of the file.
+  constexpr size_t kIndexOffsetAt = 52;
+  constexpr size_t kIndexSizeAt = 44;
+  constexpr size_t kFilterSizeAt = 32;
+  constexpr size_t kVersionAt = 12;
+  constexpr size_t kMagicAt = 8;
 
-  TableFooter footer;
-  Status s = ReadTableFooter(Env::Default(), future_path, &footer);
-  EXPECT_TRUE(s.IsCorruption());
   BlockCache cache(1 << 20);
+  uint64_t next_number = 11;
+  // Writes `bytes` as a table and expects both footer readers to reject it.
+  auto expect_corrupt = [&](const std::string& name,
+                            const std::string& bytes) {
+    SCOPED_TRACE(name);
+    std::string bad_path = dir_.path() + "/vt_" + name + ".sst";
+    ASSERT_TRUE(
+        Env::Default()->WriteStringToFile(bad_path, Slice(bytes)).ok());
+    TableFooter footer;
+    EXPECT_TRUE(
+        ReadTableFooter(Env::Default(), bad_path, &footer).IsCorruption());
+    std::unique_ptr<Table> table;
+    EXPECT_TRUE(Table::Open(options_, Env::Default(), bad_path,
+                            next_number++, &cache, &table)
+                    .IsCorruption());
+    EXPECT_EQ(table, nullptr);
+  };
+  auto patch32 = [&](size_t from_end, uint32_t value) {
+    std::string patched = data;
+    std::string field;
+    PutFixed32(&field, value);
+    patched.replace(patched.size() - from_end, 4, field);
+    return patched;
+  };
+  auto patch_magic = [&](const std::string& magic) {
+    std::string patched = data;
+    patched.replace(patched.size() - kMagicAt, 8, magic);
+    return patched;
+  };
+
+  // Any format version but 2.
+  expect_corrupt("version99", patch32(kVersionAt, 99));
+  expect_corrupt("version1", patch32(kVersionAt, 1));
+  // Garbage magic, and the retired v1 table magic.
+  expect_corrupt("garbage_magic", patch_magic("XXXXXXXX"));
+  expect_corrupt("v1_magic", patch_magic("APMBNCH1"));
+  // Extents past the file end are rejected before anything is allocated
+  // for them.
+  expect_corrupt("huge_index", patch32(kIndexSizeAt, 0xFFFFFFF0u));
+  expect_corrupt("huge_filter", patch32(kFilterSizeAt, 0xFFFFFFF0u));
+
+  // An index entry whose block runs past the index block.
+  uint64_t index_offset = DecodeFixed64(data.data() + data.size() -
+                                        kIndexOffsetAt);
+  // Entry 0: three one-byte varints, key "k", fixed64 offset, fixed32 span.
+  std::string bad_entry = data;
+  std::string span;
+  PutFixed32(&span, 0xFFFFFFF0u);
+  bad_entry.replace(index_offset + 3 + 1 + 8, 4, span);
+  std::string entry_path = dir_.path() + "/vt_entry.sst";
+  ASSERT_TRUE(
+      Env::Default()->WriteStringToFile(entry_path, Slice(bad_entry)).ok());
   std::unique_ptr<Table> table;
-  EXPECT_TRUE(Table::Open(options_, Env::Default(), future_path, 11, &cache,
+  EXPECT_TRUE(Table::Open(options_, Env::Default(), entry_path, 20, &cache,
                           &table)
                   .IsCorruption());
 
-  // Garbage magic fails the same way.
-  std::string bad_magic = data;
-  bad_magic.replace(bad_magic.size() - 8, 8, "XXXXXXXX");
-  std::string magic_path = dir_.path() + "/vt_magic.sst";
+  // The unpatched table still opens.
   ASSERT_TRUE(
-      Env::Default()->WriteStringToFile(magic_path, Slice(bad_magic)).ok());
-  EXPECT_TRUE(ReadTableFooter(Env::Default(), magic_path, &footer)
-                  .IsCorruption());
-  EXPECT_TRUE(Table::Open(options_, Env::Default(), magic_path, 12, &cache,
-                          &table)
-                  .IsCorruption());
+      Table::Open(options_, Env::Default(), path, 21, &cache, &table).ok());
 }
 
 class DBTest : public ::testing::Test {
@@ -884,6 +915,38 @@ TEST_F(DBTest, RecoversFlushedData) {
         << i;
     EXPECT_EQ(value, std::string(50, 'v'));
   }
+  db_.reset();
+
+  // A MANIFEST with a valid checksum but the retired "APMMANF1" magic, or
+  // a file record whose table format is not 2, fails Open: it neither
+  // crashes nor opens as an empty database.
+  const std::string manifest_path = dir_.path() + "/MANIFEST";
+  std::string manifest;
+  ASSERT_TRUE(Env::Default()->ReadFileToString(manifest_path, &manifest).ok());
+  constexpr size_t kFirstRecordVersionAt = 8 + 8 + 8 + 8 + 4 + 4 + 8 + 8 + 8;
+  ASSERT_GT(manifest.size(), kFirstRecordVersionAt + 4 + 4);
+  auto expect_corrupt = [&](size_t at, const std::string& field) {
+    std::string body = manifest.substr(0, manifest.size() - 4);
+    body.replace(at, field.size(), field);
+    PutFixed32(&body, MaskCrc(Crc32c(body.data(), body.size())));
+    ASSERT_TRUE(
+        Env::Default()->WriteStringToFile(manifest_path, Slice(body)).ok());
+    std::unique_ptr<DB> db;
+    EXPECT_TRUE(DB::Open(options_, &db).IsCorruption());
+    EXPECT_EQ(db, nullptr);
+  };
+  std::string v1_magic;
+  PutFixed64(&v1_magic, 0x41504d4d414e4631ull);  // "APMMANF1"
+  expect_corrupt(0, v1_magic);
+  std::string version1;
+  PutFixed32(&version1, 1);
+  expect_corrupt(kFirstRecordVersionAt, version1);
+
+  // The untouched manifest still opens with every key.
+  ASSERT_TRUE(
+      Env::Default()->WriteStringToFile(manifest_path, Slice(manifest)).ok());
+  ASSERT_NO_FATAL_FAILURE(Open());
+  ASSERT_TRUE(db_->Get(ReadOptions(), "key1999", &value).ok());
 }
 
 TEST_F(DBTest, SizeTieredCompactionReducesFileCount) {
@@ -1075,71 +1138,6 @@ TEST_F(DBTest, ReopenAcrossShardCounts) {
   std::vector<std::pair<std::string, std::string>> rows;
   ASSERT_TRUE(db_->Scan(ReadOptions(), "key", 1000, &rows).ok());
   EXPECT_EQ(rows.size(), 200u);
-}
-
-TEST_F(DBTest, RejectsUnsupportedFormatVersion) {
-  std::unique_ptr<DB> db;
-  options_.format_version = 0;
-  EXPECT_TRUE(DB::Open(options_, &db).IsInvalidArgument());
-  options_.format_version = kMaxSupportedTableFormat + 1;
-  EXPECT_TRUE(DB::Open(options_, &db).IsInvalidArgument());
-}
-
-// Backward compatibility: a database full of v1 tables (written by the
-// pre-refactor format) must open under the v2-writing build, serve reads,
-// and migrate to v2 as compaction rewrites the files.
-TEST_F(DBTest, V1DatabaseOpensAndCompactsToV2) {
-  options_.format_version = 1;
-  Open();
-  std::map<std::string, std::string> model;
-  for (int batch = 0; batch < 3; batch++) {
-    for (int i = 0; i < 120; i++) {
-      std::string key =
-          "row" + std::to_string(batch) + "/" + std::to_string(i);
-      std::string value = "v" + std::to_string(batch * 1000 + i);
-      ASSERT_TRUE(db_->Put(key, value).ok());
-      model[key] = value;
-    }
-    ASSERT_TRUE(db_->Flush().ok());
-  }
-  DB::Stats stats = db_->GetStats();
-  EXPECT_GE(stats.tables_format_v1, 3u);
-  EXPECT_EQ(stats.tables_format_v2, 0u);
-
-  // Reopen with the new writer default; the v1 tables must stay readable.
-  options_.format_version = 2;
-  Reopen();
-  auto verify_all = [&] {
-    std::string value;
-    for (const auto& [key, expected] : model) {
-      ASSERT_TRUE(db_->Get(ReadOptions(), key, &value).ok()) << key;
-      ASSERT_EQ(value, expected);
-    }
-    std::vector<std::pair<std::string, std::string>> rows;
-    ASSERT_TRUE(db_->Scan(ReadOptions(), "", 10000, &rows).ok());
-    ASSERT_EQ(rows.size(), model.size());
-    auto expected = model.begin();
-    for (const auto& [key, value] : rows) {
-      ASSERT_EQ(key, expected->first);
-      ASSERT_EQ(value, expected->second);
-      ++expected;
-    }
-  };
-  verify_all();
-  stats = db_->GetStats();
-  EXPECT_GE(stats.tables_format_v1, 3u);
-
-  // Major compaction rewrites every table in the configured format.
-  ASSERT_TRUE(db_->CompactAll().ok());
-  stats = db_->GetStats();
-  EXPECT_EQ(stats.tables_format_v1, 0u);
-  EXPECT_GE(stats.tables_format_v2, 1u);
-  verify_all();
-  ASSERT_TRUE(db_->VerifyIntegrity().ok());
-
-  // And the migrated database still recovers.
-  Reopen();
-  verify_all();
 }
 
 // Flush accounting: the arena charges whole blocks, so a stream of tiny

@@ -390,11 +390,13 @@ TEST(HBaseStoreTest, PerCellStorageInflatesDisk) {
   StoreOptions options;
   options.num_nodes = 1;
   options.memtable_bytes = 256 * 1024;
-  // Measure the logical KeyValue framing with plain v1 blocks: the v2
-  // format's prefix compression squeezes the repeated `row \0 f :
-  // qualifier` cell keys back out, which is exactly how real HBase's
-  // DataBlockEncoding (FAST_DIFF) mitigates the Figure-17 inflation.
-  options.lsm_format_version = 1;
+  // Measure the logical KeyValue framing with every key stored in full:
+  // at restart interval 1 each block entry is a restart point, so no key
+  // prefix is shared. That stands in for real HBase's default of no
+  // DataBlockEncoding; an encoding such as FAST_DIFF (or a longer restart
+  // interval here) squeezes the repeated `row \0 f : qualifier` cell keys
+  // back out and hides the Figure-17 inflation.
+  options.lsm_block_restart_interval = 1;
 
   std::unique_ptr<ycsb::DB> hbase, cassandra;
   options.base_dir = dir_h.path();
