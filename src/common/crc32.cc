@@ -1,6 +1,11 @@
 #include "common/crc32.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace apmbench {
 
@@ -27,9 +32,36 @@ const std::array<uint32_t, 256>& Table() {
 
 constexpr uint32_t kMaskDelta = 0xa282ead8u;
 
+#if defined(__x86_64__)
+// SSE4.2 `crc32` computes the same reflected Castagnoli CRC as the table
+// loop: 8-byte words first, then the byte tail, in one dependency chain.
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendSse42(
+    uint32_t init_crc, const char* data, size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; n--, p++) {
+    crc32 = _mm_crc32_u8(crc32, *p);
+  }
+  return crc32 ^ 0xffffffffu;
+}
+
+bool HasSse42() {
+  // Crc32c may run from static initialisers, before the runtime has
+  // filled in the CPU model that __builtin_cpu_supports reads.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+#endif
+
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t init_crc, const char* data, size_t n) {
+uint32_t Crc32cPortable(uint32_t init_crc, const char* data, size_t n) {
   const auto& table = Table();
   uint32_t crc = init_crc ^ 0xffffffffu;
   const auto* p = reinterpret_cast<const unsigned char*>(data);
@@ -37,6 +69,14 @@ uint32_t Crc32cExtend(uint32_t init_crc, const char* data, size_t n) {
     crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+uint32_t Crc32cExtend(uint32_t init_crc, const char* data, size_t n) {
+#if defined(__x86_64__)
+  static const bool kHardware = HasSse42();
+  if (kHardware) return Crc32cExtendSse42(init_crc, data, n);
+#endif
+  return Crc32cPortable(init_crc, data, n);
 }
 
 uint32_t Crc32c(const char* data, size_t n) {

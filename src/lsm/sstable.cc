@@ -548,7 +548,13 @@ Status Table::ReadBlock(uint64_t offset, uint32_t size,
       return Status::Corruption("block decompression failed");
     }
   } else if (type == CompressionType::kNone) {
-    data.assign(result.data(), size - 5);
+    if (result.data() == raw.data()) {
+      // The read landed in `raw`: drop the trailer and hand it over.
+      raw.resize(size - 5);
+      data = std::move(raw);
+    } else {
+      data.assign(result.data(), size - 5);
+    }
   } else {
     return Status::Corruption("unknown block compression type");
   }

@@ -145,13 +145,63 @@ TEST(Crc32Test, KnownVector) {
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
 }
 
+// Bit-at-a-time CRC-32C, straight from the polynomial: shares no code or
+// table with either implementation in crc32.cc.
+uint32_t Crc32cBitwise(const char* data, size_t n) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < n; i++) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int bit = 0; bit < 8; bit++) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::string Crc32Pattern(size_t n) {
+  std::string buf(n, '\0');
+  for (size_t i = 0; i < n; i++) {
+    buf[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  return buf;
+}
+
+TEST(Crc32Test, DispatchedMatchesPortableAndBitwise) {
+  // Every length 0-300 at every start offset 0-7 covers the 8-byte word
+  // loop, the byte tail and unaligned word loads.
+  const std::string buf = Crc32Pattern(300 + 8);
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t len = 0; len <= 300; len++) {
+      const char* p = buf.data() + offset;
+      const uint32_t want = Crc32cBitwise(p, len);
+      ASSERT_EQ(Crc32c(p, len), want)
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32cPortable(0, p, len), want)
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
 TEST(Crc32Test, ExtendMatchesWhole) {
-  const char* data = "the quick brown fox";
-  uint32_t whole = Crc32c(data, 19);
-  uint32_t part = Crc32c(data, 9);
   // Crc32cExtend is not a streaming CRC of concatenation in the usual
-  // sense unless implemented so; verify it is.
-  EXPECT_EQ(Crc32cExtend(part, data + 9, 10), whole);
+  // sense unless implemented so; verify it is at every split point of a
+  // block-sized buffer (4 KiB plus the 5-byte block trailer).
+  const std::string buf = Crc32Pattern(4096 + 5);
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); split++) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    ASSERT_EQ(Crc32cExtend(head, buf.data() + split, buf.size() - split),
+              whole)
+        << "split " << split;
+  }
+}
+
+TEST(Crc32Test, GoldenBlockChecksum) {
+  // Values produced by the original table-only implementation. Every
+  // stored checksum is a masked Crc32c, so these pin the bytes on disk.
+  const std::string block = Crc32Pattern(4096);
+  EXPECT_EQ(Crc32c(block.data(), block.size()), 0xe6adc5b2u);
+  EXPECT_EQ(MaskCrc(Crc32c(block.data(), block.size())), 0x2de8b833u);
 }
 
 TEST(Crc32Test, MaskRoundTrip) {
