@@ -40,7 +40,7 @@ __attribute__((target("sse4.2"))) uint32_t Crc32cExtendSse42(
   uint64_t crc = init_crc ^ 0xffffffffu;
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   for (; n >= 8; n -= 8, p += 8) {
-    uint64_t word;
+    uint64_t word = 0;
     std::memcpy(&word, p, sizeof(word));
     crc = _mm_crc32_u64(crc, word);
   }
