@@ -8,13 +8,8 @@
 // reads should scale with threads on a multi-core host.
 //
 // Usage: micro_engines [engine=lsm|btree|hashkv|volt] [op=put|get|scan]
-//                      [mode=cache_scan|memtable_shards]
+//                      [mode=memtable_shards]
 //                      [out=BENCH_engines.json] [build=<label>]
-//
-// mode=cache_scan runs the read-path sweep instead of the engine sweep:
-// threads x {cache-hit get, cold get, cross-shard scan}, with the
-// measured block-cache hit rate in each lsm row (the scaling evidence
-// for the sharded block cache and the store-layer fan-out executor).
 //
 // Environment:
 //   APMBENCH_BENCH_SECONDS  seconds measured per point (default 0.5)
@@ -39,8 +34,6 @@
 #include "common/random.h"
 #include "hashkv/hashkv.h"
 #include "lsm/db.h"
-#include "stores/redis_store.h"
-#include "stores/store_options.h"
 #include "volt/volt.h"
 
 namespace {
@@ -313,112 +306,6 @@ void SweepVolt(const SweepConfig& config) {
   SweepEngine(config, "volt", hooks);
 }
 
-// --- Read-path sweep (mode=cache_scan) ---
-//
-// Three probes per thread count, isolating the layers the read path
-// crosses: `cache_get_hit` serves every data block from the block cache
-// (the sweep warms each block once before measuring), `cache_get_cold`
-// disables the cache so every read hits the table file, and
-// `xshard_scan` drives 50-record ScanKeyed calls through the 4-node
-// Redis-architecture store, crossing every shard of the ring. The lsm
-// rows carry the block-cache hit rate measured over the timed window.
-
-void ReportCache(const SweepConfig& config, const std::string& engine,
-                 const std::string& op, int threads, const MeasureResult& r,
-                 double hit_rate) {
-  printf("%-8s %-14s %4d threads  %12.0f ops/s  (%llu ops in %.2fs",
-         engine.c_str(), op.c_str(), threads, r.ops_per_sec,
-         static_cast<unsigned long long>(r.total_ops), r.elapsed);
-  if (hit_rate >= 0) printf(", hit rate %.3f", hit_rate);
-  printf(")\n");
-  fflush(stdout);
-  auto& row = config.out->AddRow()
-                  .Str("engine", engine)
-                  .Str("op", op)
-                  .Int("threads", threads)
-                  .Num("ops_per_sec", r.ops_per_sec)
-                  .Int("total_ops", static_cast<int64_t>(r.total_ops))
-                  .Num("seconds", r.elapsed);
-  if (hit_rate >= 0) row.Num("cache_hit_rate", hit_rate);
-  if (!config.build_label.empty()) row.Str("build", config.build_label);
-}
-
-void SweepCacheScan(const SweepConfig& config) {
-  const std::string dir = "/tmp/apmbench-micro-cache";
-  const uint64_t preload = config.preload;
-
-  auto open_lsm = [&](size_t cache_bytes) {
-    Env::Default()->RemoveDirRecursively(dir);
-    lsm::Options options;
-    options.dir = dir;
-    options.memtable_bytes = 4 * 1024 * 1024;
-    options.block_cache_bytes = cache_bytes;
-    std::unique_ptr<lsm::DB> db;
-    lsm::DB::Open(options, &db);
-    for (uint64_t i = 0; i < preload; i++) db->Put(MakeKey(i), MakeValue());
-    db->Flush();
-    return db;
-  };
-  auto measure_get = [&](lsm::DB* db, int threads) {
-    return Measure(threads, config.seconds, [&, db](int t) {
-      auto rng = std::make_shared<Random>(3000 + t);
-      return [&, db, rng]() {
-        std::string value;
-        db->Get(lsm::ReadOptions(), MakeKey(rng->Uniform(preload)), &value);
-      };
-    });
-  };
-  auto hit_rate = [](const lsm::DB::Stats& before,
-                     const lsm::DB::Stats& after) {
-    const uint64_t hits = after.cache_hits - before.cache_hits;
-    const uint64_t total = hits + (after.cache_misses - before.cache_misses);
-    return total > 0 ? static_cast<double>(hits) / total : 0.0;
-  };
-
-  for (int threads : config.thread_counts) {
-    if (WantOp(config, "cache_get_hit")) {
-      // Warm every data block once so the timed window is all cache hits.
-      auto db = open_lsm(64 * 1024 * 1024);
-      std::string value;
-      for (uint64_t i = 0; i < preload; i++) {
-        db->Get(lsm::ReadOptions(), MakeKey(i), &value);
-      }
-      lsm::DB::Stats before = db->GetStats();
-      auto r = measure_get(db.get(), threads);
-      lsm::DB::Stats after = db->GetStats();
-      ReportCache(config, "lsm", "cache_get_hit", threads, r,
-                  hit_rate(before, after));
-    }
-    if (WantOp(config, "cache_get_cold")) {
-      auto db = open_lsm(0);
-      lsm::DB::Stats before = db->GetStats();
-      auto r = measure_get(db.get(), threads);
-      lsm::DB::Stats after = db->GetStats();
-      ReportCache(config, "lsm", "cache_get_cold", threads, r,
-                  hit_rate(before, after));
-    }
-    if (WantOp(config, "xshard_scan")) {
-      stores::StoreOptions store_options;
-      store_options.num_nodes = 4;
-      std::unique_ptr<stores::RedisStore> store;
-      stores::RedisStore::Open(store_options, &store);
-      const ycsb::Record record = {{"field0", MakeValue()}};
-      for (uint64_t i = 0; i < preload; i++) {
-        store->Insert("t", MakeKey(i), record);
-      }
-      auto r = Measure(threads, config.seconds, [&](int t) {
-        auto rng = std::make_shared<Random>(4000 + t);
-        return [&, rng]() {
-          std::vector<ycsb::KeyedRecord> records;
-          store->ScanKeyed("t", MakeKey(rng->Uniform(preload)), 50, &records);
-        };
-      });
-      ReportCache(config, "redis", "xshard_scan", threads, r, -1.0);
-    }
-  }
-  Env::Default()->RemoveDirRecursively(dir);
-}
-
 // mode=memtable_shards: the sharded-memtable sweep. Shard counts
 // {1,4,8,16} x the thread sweep x put/get/scan against a
 // memtable-resident working set: puts measure the parallel group-commit
@@ -513,21 +400,23 @@ int main(int argc, char** argv) {
   config.thread_counts = BenchThreads();
   config.seconds = BenchSeconds();
   config.preload = BenchPreload();
-  for (int i = 1; i < argc; i++) {
+  bool bad_args = false;
+  for (int i = 1; i < argc && !bad_args; i++) {
     apmbench::Properties props;
-    if (!props.ParseArg(argv[i]).ok()) {
-      fprintf(stderr,
-              "usage: %s [engine=lsm|btree|hashkv|volt] [op=put|get|scan] "
-              "[mode=cache_scan|memtable_shards] [out=<path>] "
-              "[build=<label>]\n",
-              argv[0]);
-      return 2;
-    }
+    bad_args = !props.ParseArg(argv[i]).ok();
     if (props.Contains("engine")) only_engine = props.GetString("engine");
     if (props.Contains("mode")) mode = props.GetString("mode");
     if (props.Contains("op")) config.only_op = props.GetString("op");
     if (props.Contains("out")) out_path = props.GetString("out");
     if (props.Contains("build")) config.build_label = props.GetString("build");
+  }
+  // An unknown mode must not fall through to the full engine sweep.
+  if (bad_args || (!mode.empty() && mode != "memtable_shards")) {
+    fprintf(stderr,
+            "usage: %s [engine=lsm|btree|hashkv|volt] [op=put|get|scan] "
+            "[mode=memtable_shards] [out=<path>] [build=<label>]\n",
+            argv[0]);
+    return 2;
   }
 
   benchutil::JsonResultWriter results(out_path);
@@ -537,9 +426,7 @@ int main(int argc, char** argv) {
          config.seconds, static_cast<unsigned long long>(config.preload),
          std::thread::hardware_concurrency());
 
-  if (mode == "cache_scan") {
-    SweepCacheScan(config);
-  } else if (mode == "memtable_shards") {
+  if (mode == "memtable_shards") {
     SweepMemtableShards(config);
   } else {
     if (only_engine.empty() || only_engine == "lsm") SweepLsm(config);

@@ -2,13 +2,6 @@
 
 namespace apmbench {
 
-int FanoutExecutor::DefaultPoolSize(int fan_out) {
-  int n = fan_out - 1;
-  if (n < 0) n = 0;
-  if (n > 16) n = 16;
-  return n;
-}
-
 FanoutExecutor::FanoutExecutor(int threads) {
   if (threads < 0) threads = 0;
   workers_.reserve(static_cast<size_t>(threads));
@@ -61,12 +54,6 @@ void FanoutExecutor::WorkerLoop() {
 }
 
 Status FanoutExecutor::RunAll(std::vector<Task> tasks) {
-  return RunAll(std::move(tasks), nullptr);
-}
-
-Status FanoutExecutor::RunAll(std::vector<Task> tasks,
-                              std::vector<Status>* statuses) {
-  if (statuses != nullptr) statuses->clear();
   if (tasks.empty()) return Status::OK();
   auto batch = std::make_shared<Batch>();
   batch->tasks = std::move(tasks);
@@ -89,7 +76,6 @@ Status FanoutExecutor::RunAll(std::vector<Task> tasks,
   for (const Status& status : batch->statuses) {
     if (first.ok() && !status.ok()) first = status;
   }
-  if (statuses != nullptr) *statuses = std::move(batch->statuses);
   return first;
 }
 

@@ -1,7 +1,6 @@
 #ifndef APMBENCH_COMMON_FANOUT_H_
 #define APMBENCH_COMMON_FANOUT_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -9,23 +8,20 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace apmbench {
 
-/// A fixed thread pool for scatter-gather fan-out: the store adapters use
-/// it to issue one sub-request per node of the simulated cluster in
-/// parallel (cross-shard scans, replica writes) instead of walking the
-/// ring serially.
+/// A fixed thread pool for scatter-gather fan-out: lsm::DB uses it to
+/// merge the key-range pieces of one leveled compaction job in parallel
+/// (Options::subcompactions).
 ///
 /// RunAll(tasks) runs every task and blocks until all complete, returning
 /// the first non-OK Status in task order (other tasks still run to
-/// completion, matching how a client must drain every outstanding RPC).
+/// completion, so no piece outlives the call).
 /// The *calling thread participates*: it claims tasks from the same batch
 /// it submitted, so RunAll can never deadlock — even with a pool of
 /// size 0, or with every pool thread busy inside another caller's batch,
@@ -45,23 +41,10 @@ class FanoutExecutor {
   explicit FanoutExecutor(int threads);
   ~FanoutExecutor();
 
-  /// Pool size that lets one caller fan out to `fan_out` nodes fully in
-  /// parallel: fan_out - 1 threads, capped at 16.
-  static int DefaultPoolSize(int fan_out);
-
   FanoutExecutor(const FanoutExecutor&) = delete;
   FanoutExecutor& operator=(const FanoutExecutor&) = delete;
 
   Status RunAll(std::vector<Task> tasks);
-
-  /// Like RunAll, but additionally reports every task's own Status in
-  /// task order through `statuses` (resized to tasks.size()). This is
-  /// how replica-aware callers distinguish "all acked" from "partially
-  /// acked": the collapsed first-error return hides which replicas kept
-  /// the write.
-  Status RunAll(std::vector<Task> tasks, std::vector<Status>* statuses);
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
 
  private:
   struct Batch {
@@ -85,57 +68,6 @@ class FanoutExecutor {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
-
-/// K-way merge of sorted runs: emits the up-to-`count` globally smallest
-/// elements (by `get_key`, ascending) into *out, consuming each run only
-/// as far as needed — the fix for the cross-shard scan over-fetch, and
-/// O(count · log k) instead of sort-everything's O(n log n). Each input
-/// run must itself be sorted with unique keys. With `dedup` set, a key
-/// present in several runs (replicas) is emitted once, from the
-/// lowest-indexed run holding it. Runs are consumed destructively
-/// (elements are moved out).
-template <typename T, typename GetKey>
-void MergeSortedRuns(std::vector<std::vector<T>>* runs, size_t count,
-                     bool dedup, GetKey get_key, std::vector<T>* out) {
-  // (key, run index) pairs, heap-ordered so the smallest key — and on
-  // ties the lowest run — pops first.
-  struct Cursor {
-    size_t run;
-    size_t pos;
-  };
-  std::vector<Cursor> heap;
-  heap.reserve(runs->size());
-  auto greater = [&](const Cursor& a, const Cursor& b) {
-    const auto& ka = get_key((*runs)[a.run][a.pos]);
-    const auto& kb = get_key((*runs)[b.run][b.pos]);
-    if (ka != kb) return ka > kb;
-    return a.run > b.run;
-  };
-  for (size_t r = 0; r < runs->size(); r++) {
-    if (!(*runs)[r].empty()) heap.push_back(Cursor{r, 0});
-  }
-  std::make_heap(heap.begin(), heap.end(), greater);
-
-  bool have_last = false;
-  std::string last_key;
-  while (!heap.empty() && out->size() < count) {
-    std::pop_heap(heap.begin(), heap.end(), greater);
-    Cursor cur = heap.back();
-    heap.pop_back();
-    T& element = (*runs)[cur.run][cur.pos];
-    if (!dedup || !have_last || get_key(element) != last_key) {
-      if (dedup) {
-        last_key = get_key(element);
-        have_last = true;
-      }
-      out->push_back(std::move(element));
-    }
-    if (++cur.pos < (*runs)[cur.run].size()) {
-      heap.push_back(cur);
-      std::push_heap(heap.begin(), heap.end(), greater);
-    }
-  }
-}
 
 }  // namespace apmbench
 

@@ -6,7 +6,9 @@
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/hash.h"
+#include "common/merge_runs.h"
 #include "common/rate_limiter.h"
+#include "stores/disk_usage.h"
 
 namespace apmbench::stores {
 
@@ -38,10 +40,7 @@ CassandraStore::CassandraStore(const StoreOptions& options)
                                options.num_nodes))),
       digest_bits_(DigestBitsFrom(options.repair_digest_buckets)),
       fault_seam_(options.num_nodes),
-      membership_(options.num_nodes, MembershipOptionsFrom(options)),
-      fanout_(options.fanout_threads > 0
-                  ? options.fanout_threads
-                  : FanoutExecutor::DefaultPoolSize(options.num_nodes)) {}
+      membership_(options.num_nodes, MembershipOptionsFrom(options)) {}
 
 Status CassandraStore::Open(const StoreOptions& options,
                             std::unique_ptr<CassandraStore>* store) {
@@ -324,37 +323,24 @@ Status CassandraStore::ScanKeyed(const std::string& table,
   (void)table;
   records->clear();
   // Random partitioning scatters the key range over every node; the
-  // coordinator queries the live nodes in parallel and k-way merges the
+  // coordinator queries the live nodes in ring order and k-way merges the
   // sorted candidate runs, deduplicating the keys replicas contribute
   // twice and stopping at `count` globally-smallest keys. Every key has
   // replication_factor replicas on distinct nodes, so up to rf - 1
   // unreachable nodes still leave one live run per key.
   std::vector<std::vector<std::pair<std::string, std::string>>> runs(
       nodes_.size());
-  std::vector<FanoutExecutor::Task> tasks;
-  std::vector<int> task_nodes;
   int unreachable = 0;
   Status first_error;
-  tasks.reserve(nodes_.size());
   for (size_t i = 0; i < nodes_.size(); i++) {
     int node = static_cast<int>(i);
-    if (!membership_.IsLive(node) && !membership_.TryClaimProbe(node)) {
+    Status s = membership_.IsLive(node) || membership_.TryClaimProbe(node)
+                   ? NodeScan(node, start_key, count, &runs[i])
+                   : NodeDownError(node);
+    if (!s.ok()) {
       unreachable++;
-      if (first_error.ok()) first_error = NodeDownError(node);
-      continue;
-    }
-    task_nodes.push_back(node);
-    tasks.push_back([this, &runs, &start_key, count, i, node]() {
-      return NodeScan(node, start_key, count, &runs[i]);
-    });
-  }
-  std::vector<Status> statuses;
-  fanout_.RunAll(std::move(tasks), &statuses);
-  for (size_t t = 0; t < statuses.size(); t++) {
-    if (!statuses[t].ok()) {
-      unreachable++;
-      if (first_error.ok()) first_error = statuses[t];
-      runs[static_cast<size_t>(task_nodes[t])].clear();
+      if (first_error.ok()) first_error = s;
+      runs[i].clear();
     }
   }
   DrainRecovered();
@@ -417,26 +403,15 @@ Status CassandraStore::WriteReplicated(const Slice& key,
                                        cluster::HintLog::OpKind op,
                                        const std::string& value,
                                        WriteReport* report) {
-  // SimpleStrategy ring walk: the write goes to every replica in
-  // parallel as a coordinator does. Acknowledgment needs one direct ack
-  // plus a durable hint for every replica that missed it — then no acked
-  // write can be lost to a single node failure.
+  // SimpleStrategy ring walk: the write goes to every replica in ring
+  // order. Acknowledgment needs one direct ack plus a durable hint for
+  // every replica that missed it — then no acked write can be lost to a
+  // single node failure.
   std::vector<int> replicas = ring_.RouteReplicas(key, replication_factor_);
   report->replicas.assign(replicas.size(), ReplicaOutcome());
-  if (replicas.size() == 1) {
-    WriteOneReplica(replicas[0], op, key, Slice(value),
-                    &report->replicas[0]);
-  } else {
-    std::vector<FanoutExecutor::Task> tasks;
-    tasks.reserve(replicas.size());
-    for (size_t slot = 0; slot < replicas.size(); slot++) {
-      tasks.push_back([this, &replicas, &report, op, &key, &value, slot]() {
-        WriteOneReplica(replicas[slot], op, key, Slice(value),
-                        &report->replicas[slot]);
-        return Status::OK();
-      });
-    }
-    fanout_.RunAll(std::move(tasks));
+  for (size_t slot = 0; slot < replicas.size(); slot++) {
+    WriteOneReplica(replicas[slot], op, key, Slice(value),
+                    &report->replicas[slot]);
   }
   for (const ReplicaOutcome& out : report->replicas) {
     if (out.status.ok()) {
@@ -683,18 +658,7 @@ Status CassandraStore::CheckReplicasConverged(bool* converged) {
 }
 
 Status CassandraStore::DiskUsage(uint64_t* bytes) {
-  // Every node walks its directory tree; fan the walks out in parallel.
-  std::vector<uint64_t> per_node(nodes_.size(), 0);
-  std::vector<FanoutExecutor::Task> tasks;
-  tasks.reserve(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    tasks.push_back(
-        [this, &per_node, i]() { return nodes_[i]->DiskUsage(&per_node[i]); });
-  }
-  APM_RETURN_IF_ERROR(fanout_.RunAll(std::move(tasks)));
-  *bytes = 0;
-  for (uint64_t node_bytes : per_node) *bytes += node_bytes;
-  return Status::OK();
+  return SumDiskUsage(nodes_, bytes);
 }
 
 lsm::DB::Stats CassandraStore::NodeStats(int node) {

@@ -10,7 +10,6 @@
 #include "cluster/hints.h"
 #include "cluster/membership.h"
 #include "cluster/routing.h"
-#include "common/fanout.h"
 #include "lsm/db.h"
 #include "stores/store_options.h"
 #include "ycsb/db.h"
@@ -28,10 +27,10 @@ struct ReplicaOutcome {
   bool hinted = false;
 };
 
-/// Per-replica visibility for replicated writes. FanoutExecutor::RunAll
-/// collapses a fan-out to its first error, which hides *which* replicas
-/// kept the write; this report keeps every outcome so callers (and tests)
-/// can see a 1-of-3 partial write instead of a bare error.
+/// Per-replica visibility for replicated writes. A single first error
+/// would hide *which* replicas kept the write; this report keeps every
+/// outcome so callers (and tests) can see a 1-of-3 partial write instead
+/// of a bare error.
 struct WriteReport {
   std::vector<ReplicaOutcome> replicas;
   int acked = 0;   ///< replicas that took the write directly
@@ -61,8 +60,8 @@ struct ClusterStats {
 /// Cassandra-architecture store: one LSM engine (commit log + memtable +
 /// size-tiered SSTables) per node, keys placed on a token ring. The paper
 /// assigned balanced tokens before loading ("an optimal set of tokens");
-/// this store does the same. Scans fan out to every node (the random
-/// partitioner gives no single-node key locality) and merge, as a
+/// this store does the same. Scans visit every node in ring order (the
+/// random partitioner gives no single-node key locality) and merge, as a
 /// Cassandra coordinator does for range slices.
 ///
 /// With replication_factor > 1 the store also implements the cluster
@@ -86,7 +85,7 @@ class CassandraStore final : public ycsb::DB {
   /// before the winner get the row written back when read_repair is on.
   Status Read(const std::string& table, const Slice& key,
               ycsb::Record* record) override;
-  /// Fans out to live nodes and k-way merges; tolerates up to
+  /// Visits live nodes in ring order and k-way merges; tolerates up to
   /// replication_factor - 1 unreachable nodes (every key still has a
   /// live replica), errors beyond that.
   Status ScanKeyed(const std::string& table, const Slice& start_key,
@@ -165,8 +164,8 @@ class CassandraStore final : public ycsb::DB {
   Status NodeScan(int node, const Slice& start, int count,
                   std::vector<std::pair<std::string, std::string>>* out);
 
-  /// Shared Insert/Delete path: fan the op to every replica; unreachable
-  /// or failing replicas fall back to a durable hint.
+  /// Shared Insert/Delete path: send the op to every replica in ring
+  /// order; unreachable or failing replicas fall back to a durable hint.
   Status WriteReplicated(const Slice& key, cluster::HintLog::OpKind op,
                          const std::string& value, WriteReport* report);
   /// One replica's slice of WriteReplicated.
@@ -200,7 +199,6 @@ class CassandraStore final : public ycsb::DB {
   int digest_bits_;  ///< log2 of the repair digest bucket count
   cluster::NodeFaultSeam fault_seam_;
   cluster::Membership membership_;
-  FanoutExecutor fanout_;
   Env* env_ = nullptr;
   std::vector<std::unique_ptr<lsm::DB>> nodes_;
   std::vector<std::unique_ptr<cluster::HintLog>> hints_;

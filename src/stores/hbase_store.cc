@@ -6,6 +6,7 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/rate_limiter.h"
+#include "stores/disk_usage.h"
 
 namespace apmbench::stores {
 
@@ -119,10 +120,7 @@ bool HBaseStore::ParseCellKey(const Slice& cell_key, Slice* row,
 HBaseStore::HBaseStore(const StoreOptions& options,
                        cluster::RegionMap regions)
     : options_(options),
-      regions_(std::move(regions)),
-      fanout_(options.fanout_threads > 0
-                  ? options.fanout_threads
-                  : FanoutExecutor::DefaultPoolSize(options.num_nodes)) {}
+      regions_(std::move(regions)) {}
 
 Status HBaseStore::Open(const StoreOptions& options,
                         std::unique_ptr<HBaseStore>* store) {
@@ -287,17 +285,7 @@ Status HBaseStore::Delete(const std::string& table, const Slice& key) {
 }
 
 Status HBaseStore::DiskUsage(uint64_t* bytes) {
-  std::vector<uint64_t> per_node(nodes_.size(), 0);
-  std::vector<FanoutExecutor::Task> tasks;
-  tasks.reserve(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    tasks.push_back(
-        [this, &per_node, i]() { return nodes_[i]->DiskUsage(&per_node[i]); });
-  }
-  APM_RETURN_IF_ERROR(fanout_.RunAll(std::move(tasks)));
-  *bytes = 0;
-  for (uint64_t node_bytes : per_node) *bytes += node_bytes;
-  return Status::OK();
+  return SumDiskUsage(nodes_, bytes);
 }
 
 lsm::DB::Stats HBaseStore::NodeStats(int node) {

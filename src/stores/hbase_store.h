@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cluster/routing.h"
-#include "common/fanout.h"
 #include "lsm/db.h"
 #include "stores/store_options.h"
 #include "ycsb/db.h"
@@ -66,8 +65,6 @@ class HBaseStore final : public ycsb::DB {
 
   StoreOptions options_;
   cluster::RegionMap regions_;
-  /// Runs DiskUsage over the nodes in parallel.
-  FanoutExecutor fanout_;
   std::vector<std::unique_ptr<lsm::DB>> nodes_;
 };
 

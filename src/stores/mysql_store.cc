@@ -3,15 +3,13 @@
 #include <limits>
 
 #include "common/coding.h"
+#include "stores/disk_usage.h"
 
 namespace apmbench::stores {
 
 MySQLStore::MySQLStore(const StoreOptions& options)
     : options_(options),
-      sharder_(options.num_nodes),
-      fanout_(options.fanout_threads > 0
-                  ? options.fanout_threads
-                  : FanoutExecutor::DefaultPoolSize(options.num_nodes)) {}
+      sharder_(options.num_nodes) {}
 
 Status MySQLStore::Open(const StoreOptions& options,
                         std::unique_ptr<MySQLStore>* store) {
@@ -129,19 +127,7 @@ Status MySQLStore::Delete(const std::string& table, const Slice& key) {
 }
 
 Status MySQLStore::DiskUsage(uint64_t* bytes) {
-  // Scans stay single-shard by design (the paper's RS collapse depends
-  // on it); the multi-node operation here is the disk sweep.
-  std::vector<uint64_t> per_node(nodes_.size(), 0);
-  std::vector<FanoutExecutor::Task> tasks;
-  tasks.reserve(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    tasks.push_back(
-        [this, &per_node, i]() { return nodes_[i]->DiskUsage(&per_node[i]); });
-  }
-  APM_RETURN_IF_ERROR(fanout_.RunAll(std::move(tasks)));
-  *bytes = 0;
-  for (uint64_t node_bytes : per_node) *bytes += node_bytes;
-  return Status::OK();
+  return SumDiskUsage(nodes_, bytes);
 }
 
 btree::BTree::Stats MySQLStore::NodeStats(int node) {

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 
+#include "common/merge_runs.h"
+
 namespace apmbench::stores {
 
 RedisStore::RedisStore(const StoreOptions& options)
     : options_(options),
-      ring_(options.num_nodes),
-      fanout_(options.fanout_threads > 0
-                  ? options.fanout_threads
-                  : FanoutExecutor::DefaultPoolSize(options.num_nodes)) {}
+      ring_(options.num_nodes) {}
 
 Status RedisStore::Open(const StoreOptions& options,
                         std::unique_ptr<RedisStore>* store) {
@@ -51,25 +50,45 @@ Status RedisStore::ScanKeyed(const std::string& table,
                              std::vector<ycsb::KeyedRecord>* records) {
   (void)table;
   records->clear();
+  if (count <= 0) return Status::OK();
   // Hash sharding scatters the key range: the client queries every
-  // instance's sorted index in parallel and k-way merges (the YCSB Redis
-  // client keeps an index sorted set per instance for exactly this). The
-  // merge stops once `count` globally-smallest keys are emitted, so a
-  // shard's surplus candidates are never decoded.
-  std::vector<std::vector<std::pair<std::string, std::string>>> runs(
-      nodes_.size());
-  std::vector<FanoutExecutor::Task> tasks;
-  tasks.reserve(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    tasks.push_back([this, &runs, &start_key, count, i]() {
-      return nodes_[i]->Scan(start_key, count, &runs[i]);
-    });
-  }
-  APM_RETURN_IF_ERROR(fanout_.RunAll(std::move(tasks)));
+  // instance's sorted index in turn and k-way merges (the YCSB Redis
+  // client keeps an index sorted set per instance for exactly this). A
+  // shard holds about 1/N of any key window, so each round asks every
+  // shard for a little over its share of the keys still missing, not for
+  // all of them. Keys up to the smallest last key of a full page are then
+  // complete on every shard: the round emits those (stopping at `count`)
+  // and the next round resumes just past that key.
+  const size_t want = static_cast<size_t>(count);
+  std::string cursor = start_key.ToString();
   std::vector<std::pair<std::string, std::string>> merged;
-  MergeSortedRuns(
-      &runs, static_cast<size_t>(count), /*dedup=*/false,
-      [](const auto& kv) -> const std::string& { return kv.first; }, &merged);
+  while (merged.size() < want) {
+    const size_t missing = want - merged.size();
+    const size_t page = std::min(missing, missing / nodes_.size() + 4);
+    std::vector<std::vector<std::pair<std::string, std::string>>> runs(
+        nodes_.size());
+    const std::string* bound = nullptr;
+    for (size_t i = 0; i < nodes_.size(); i++) {
+      APM_RETURN_IF_ERROR(
+          nodes_[i]->Scan(cursor, static_cast<int>(page), &runs[i]));
+      if (runs[i].size() == page &&
+          (bound == nullptr || runs[i].back().first < *bound)) {
+        bound = &runs[i].back().first;
+      }
+    }
+    if (bound != nullptr) {
+      cursor = *bound;
+      for (auto& run : runs) {
+        while (!run.empty() && run.back().first > cursor) run.pop_back();
+      }
+    }
+    MergeSortedRuns(
+        &runs, want, /*dedup=*/false,
+        [](const auto& kv) -> const std::string& { return kv.first; },
+        &merged);
+    if (bound == nullptr) break;  // every shard was read to its end
+    cursor.push_back('\0');       // the smallest key after the bound
+  }
   records->reserve(merged.size());
   for (const auto& [key, value] : merged) {
     ycsb::KeyedRecord entry;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cluster/routing.h"
-#include "common/fanout.h"
 #include "hashkv/hashkv.h"
 #include "stores/store_options.h"
 #include "ycsb/db.h"
@@ -46,7 +45,6 @@ class RedisStore final : public ycsb::DB {
 
   StoreOptions options_;
   cluster::JedisShardRing ring_;
-  FanoutExecutor fanout_;
   std::vector<std::unique_ptr<hashkv::HashKV>> nodes_;
 };
 

@@ -49,12 +49,6 @@ struct StoreOptions {
 
   Env* env = nullptr;
 
-  /// Threads in the store's fan-out executor, used to issue multi-node
-  /// operations (cross-shard scans, replica writes, disk-usage sweeps) to
-  /// every node in parallel. 0 sizes the pool to num_nodes - 1 (capped) —
-  /// the calling thread participates, so that covers a full fan-out.
-  int fanout_threads = 0;
-
   /// LSM engines (cassandra-like, hbase-like).
   size_t memtable_bytes = 8 * 1024 * 1024;
   size_t block_cache_bytes = 32 * 1024 * 1024;

@@ -2,15 +2,13 @@
 
 #include "common/clock.h"
 #include "common/coding.h"
+#include "stores/disk_usage.h"
 
 namespace apmbench::stores {
 
 VoldemortStore::VoldemortStore(const StoreOptions& options)
     : options_(options),
-      ring_(options.num_nodes, /*partitions_per_node=*/2, /*seed=*/11),
-      fanout_(options.fanout_threads > 0
-                  ? options.fanout_threads
-                  : FanoutExecutor::DefaultPoolSize(options.num_nodes)) {}
+      ring_(options.num_nodes, /*partitions_per_node=*/2, /*seed=*/11) {}
 
 Status VoldemortStore::Open(const StoreOptions& options,
                             std::unique_ptr<VoldemortStore>* store) {
@@ -111,19 +109,7 @@ Status VoldemortStore::Delete(const std::string& table, const Slice& key) {
 }
 
 Status VoldemortStore::DiskUsage(uint64_t* bytes) {
-  // Scans stay NotSupported (matching the Voldemort YCSB client); the
-  // multi-node operation here is the disk sweep.
-  std::vector<uint64_t> per_node(nodes_.size(), 0);
-  std::vector<FanoutExecutor::Task> tasks;
-  tasks.reserve(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); i++) {
-    tasks.push_back(
-        [this, &per_node, i]() { return nodes_[i]->DiskUsage(&per_node[i]); });
-  }
-  APM_RETURN_IF_ERROR(fanout_.RunAll(std::move(tasks)));
-  *bytes = 0;
-  for (uint64_t node_bytes : per_node) *bytes += node_bytes;
-  return Status::OK();
+  return SumDiskUsage(nodes_, bytes);
 }
 
 btree::BTree::Stats VoldemortStore::NodeStats(int node) {

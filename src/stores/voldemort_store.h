@@ -6,7 +6,6 @@
 
 #include "btree/btree.h"
 #include "cluster/routing.h"
-#include "common/fanout.h"
 #include "stores/store_options.h"
 #include "ycsb/db.h"
 
@@ -48,7 +47,6 @@ class VoldemortStore final : public ycsb::DB {
 
   StoreOptions options_;
   cluster::PartitionRing ring_;
-  FanoutExecutor fanout_;
   std::vector<std::unique_ptr<btree::BTree>> nodes_;
 };
 

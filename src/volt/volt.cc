@@ -5,7 +5,7 @@
 
 #include "common/coding.h"
 #include "common/crc32.h"
-#include "common/fanout.h"
+#include "common/merge_runs.h"
 #include "common/hash.h"
 
 namespace apmbench::volt {

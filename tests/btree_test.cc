@@ -289,8 +289,9 @@ TEST_F(BTreeTest, SmallBufferPoolStillCorrect) {
   std::map<std::string, std::string> model;
   Random rng(31);
   for (int i = 0; i < 8000; i++) {
-    std::string key = "k" + std::to_string(rng.Uniform(3000));
-    std::string value = "v" + std::to_string(i);
+    std::string key =
+        std::string("k").append(std::to_string(rng.Uniform(3000)));
+    std::string value = std::string("v").append(std::to_string(i));
     ASSERT_TRUE(tree_->Put(key, value).ok());
     model[key] = value;
   }

@@ -3,14 +3,17 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/hash.h"
+#include "common/merge_runs.h"
 #include "common/properties.h"
 #include "common/random.h"
 #include "common/slice.h"
@@ -552,6 +555,79 @@ TEST(RandomTest, UniformDoubleRange) {
     EXPECT_GE(v, -3.0);
     EXPECT_LT(v, 7.0);
   }
+}
+
+// --- MergeSortedRuns -----------------------------------------------------
+
+// Elements are (key, run index). The index sits in a unique_ptr, which a
+// move leaves null, so a test also sees how far each run was consumed.
+using RunItem = std::pair<std::string, std::unique_ptr<int>>;
+using Runs = std::vector<std::vector<RunItem>>;
+
+Runs MakeRuns(const std::vector<std::vector<std::string>>& keys) {
+  Runs runs(keys.size());
+  for (size_t r = 0; r < keys.size(); r++) {
+    for (const std::string& key : keys[r]) {
+      runs[r].emplace_back(key, std::make_unique<int>(static_cast<int>(r)));
+    }
+  }
+  return runs;
+}
+
+// Merges and describes the output as "key@run,...".
+std::string Merge(Runs runs, size_t count, bool dedup, Runs* left = nullptr) {
+  std::vector<RunItem> out;
+  MergeSortedRuns(
+      &runs, count, dedup,
+      [](const RunItem& item) -> const std::string& { return item.first; },
+      &out);
+  std::string text;
+  for (const RunItem& item : out) {
+    if (!text.empty()) text += ",";
+    text += item.first + "@" + std::to_string(*item.second);
+  }
+  if (left != nullptr) *left = std::move(runs);
+  return text;
+}
+
+TEST(MergeSortedRunsTest, CountBoundsTheOutput) {
+  const std::vector<std::vector<std::string>> keys = {{"b", "d"}, {"a", "c"}};
+  EXPECT_EQ(Merge(MakeRuns(keys), 0, false), "");
+  EXPECT_EQ(Merge(MakeRuns(keys), 1, false), "a@1");
+  EXPECT_EQ(Merge(MakeRuns(keys), 100, false), "a@1,b@0,c@1,d@0");
+}
+
+TEST(MergeSortedRunsTest, EmptyRunsAndEmptyInput) {
+  EXPECT_EQ(Merge(MakeRuns({{}, {"b"}, {}, {"a", "c"}}), 10, true),
+            "a@3,b@1,c@3");
+  EXPECT_EQ(Merge(MakeRuns({{}, {}}), 10, true), "");
+  EXPECT_EQ(Merge(Runs(), 10, false), "");
+}
+
+TEST(MergeSortedRunsTest, DedupEmitsSharedKeyOnceFromLowestRun) {
+  const std::vector<std::vector<std::string>> keys = {
+      {"b", "c"}, {"a", "b"}, {"b", "d"}};
+  EXPECT_EQ(Merge(MakeRuns(keys), 10, true), "a@1,b@0,c@0,d@2");
+  // Skipped duplicates do not count towards `count`.
+  EXPECT_EQ(Merge(MakeRuns(keys), 3, true), "a@1,b@0,c@0");
+}
+
+TEST(MergeSortedRunsTest, WithoutDedupEqualKeysComeOutInRunOrder) {
+  EXPECT_EQ(Merge(MakeRuns({{"b"}, {"a", "b"}, {"b", "c"}}), 10, false),
+            "a@1,b@0,b@1,b@2,c@2");
+}
+
+TEST(MergeSortedRunsTest, ConsumesRunsOnlyUpToCount) {
+  Runs left;
+  EXPECT_EQ(Merge(MakeRuns({{"a", "c", "e", "g"}, {"b", "d", "f", "h"}}), 3,
+                  false, &left),
+            "a@0,b@1,c@0");
+  std::vector<bool> consumed;
+  for (const auto& run : left) {
+    for (const RunItem& item : run) consumed.push_back(item.second == nullptr);
+  }
+  EXPECT_EQ(consumed, (std::vector<bool>{true, true, false, false, true,
+                                         false, false, false}));
 }
 
 }  // namespace

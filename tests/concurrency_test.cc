@@ -25,6 +25,7 @@
 #include "gtest/gtest.h"
 #include "hashkv/hashkv.h"
 #include "lsm/db.h"
+#include "stores/cassandra_store.h"
 #include "stores/factory.h"
 #include "stores/store_options.h"
 #include "tests/test_util.h"
@@ -746,25 +747,33 @@ TEST(FanoutExecutorTest, ConcurrentBatchesFromManyCallers) {
   EXPECT_EQ(total.load(), kCallers * kRounds * 4);
 }
 
-// --- Concurrent cross-shard scans ---------------------------------------
+// --- Concurrent cross-node scans ----------------------------------------
 //
 // Every store whose ScanKeyed spans multiple nodes runs the same check:
 // over a static preloaded key set, concurrent scanners from many threads
 // must each see the exact globally-ordered window. Redis (client
-// sharding) and Cassandra (random partitioning) fan out and k-way merge,
-// hammering the fan-out executor in parallel; HBase walks its ordered
+// sharding) and Cassandra (random partitioning) scan every node in turn
+// on the calling thread and k-way merge the runs; HBase walks its ordered
 // regions one at a time, switching servers at each region end.
-class StoreFanoutScanTest : public ::testing::TestWithParam<std::string> {};
+// "cassandra-rf3-dead" runs Cassandra at rf=3 with node 1 killed before
+// the scanners start: two live replicas of every key remain, so each
+// scan must skip the dead node and still return the exact window.
+class StoreCrossNodeScanTest
+    : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(StoreFanoutScanTest, ConcurrentScansSeeOrderedWindows) {
-  testutil::ScopedTempDir dir("fanout-" + GetParam());
+TEST_P(StoreCrossNodeScanTest, ConcurrentScansSeeOrderedWindows) {
+  const bool dead_node = GetParam() == "cassandra-rf3-dead";
+  testutil::ScopedTempDir dir("xnode-scan-" + GetParam());
   stores::StoreOptions options;
   options.base_dir = dir.path();
   options.num_nodes = 4;
+  options.replication_factor = dead_node ? 3 : 1;
   options.memtable_bytes = 64 * 1024;
   options.buffer_pool_bytes = 1 * 1024 * 1024;
   std::unique_ptr<ycsb::DB> db;
-  ASSERT_TRUE(stores::CreateStore(GetParam(), options, &db).ok());
+  ASSERT_TRUE(stores::CreateStore(dead_node ? "cassandra" : GetParam(),
+                                  options, &db)
+                  .ok());
 
   constexpr int kKeys = 300;
   std::vector<std::string> keys;
@@ -776,6 +785,8 @@ TEST_P(StoreFanoutScanTest, ConcurrentScansSeeOrderedWindows) {
     record.emplace_back("field0", "value-" + std::to_string(i));
     ASSERT_TRUE(db->Insert("usertable", keys.back(), record).ok());
   }
+  auto* cassandra = dynamic_cast<stores::CassandraStore*>(db.get());
+  if (dead_node) cassandra->KillNode(1);
 
   constexpr int kScanners = 4;
   constexpr int kScansPerThread = 40;
@@ -799,10 +810,14 @@ TEST_P(StoreFanoutScanTest, ConcurrentScansSeeOrderedWindows) {
     });
   }
   for (auto& t : scanners) t.join();
+  if (dead_node) {
+    EXPECT_FALSE(cassandra->membership().IsLive(1));
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Stores, StoreFanoutScanTest,
-                         ::testing::Values("redis", "cassandra", "hbase"));
+INSTANTIATE_TEST_SUITE_P(Stores, StoreCrossNodeScanTest,
+                         ::testing::Values("redis", "cassandra", "hbase",
+                                           "cassandra-rf3-dead"));
 
 }  // namespace
 }  // namespace apmbench

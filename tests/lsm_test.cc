@@ -99,7 +99,7 @@ TEST(MemTableTest, ShardedIterationMergesSorted) {
   uint64_t seq = 1;
   for (int i = 0; i < 500; i++) {
     const std::string key = "key" + std::to_string(i * 7919 % 500);
-    const std::string value = "v" + std::to_string(i);
+    const std::string value = std::string("v").append(std::to_string(i));
     sharded.Put(key, value, seq);
     single.Put(key, value, seq);
     seq++;
@@ -520,7 +520,7 @@ TEST(BlockV2Test, SeekToLastAndFullIteration) {
   BlockBuilder builder(3);
   const int kKeys = 10;
   for (int i = 0; i < kKeys; i++) {
-    builder.Add("k" + std::to_string(i),
+    builder.Add(std::string("k").append(std::to_string(i)),
                 DataPayload(static_cast<uint64_t>(i), std::to_string(i)));
   }
   Slice raw = builder.Finish();
@@ -533,7 +533,8 @@ TEST(BlockV2Test, SeekToLastAndFullIteration) {
 
   int n = 0;
   for (bool ok = cursor.SeekToFirst(); ok; ok = cursor.Next(), void()) {
-    EXPECT_EQ(cursor.key().ToString(), "k" + std::to_string(n));
+    EXPECT_EQ(cursor.key().ToString(),
+              std::string("k").append(std::to_string(n)));
     n++;
     if (n > kKeys) break;
   }
@@ -553,7 +554,8 @@ TEST(BlockV2Test, KeysSharingFullPrefixes) {
   }
   BlockBuilder builder(4);
   for (size_t i = 0; i < keys.size(); i++) {
-    builder.Add(keys[i], DataPayload(i + 1, "v" + std::to_string(i)));
+    builder.Add(keys[i], DataPayload(i + 1, std::string("v").append(
+                                                std::to_string(i))));
   }
   Slice raw = builder.Finish();
 
@@ -562,7 +564,8 @@ TEST(BlockV2Test, KeysSharingFullPrefixes) {
   for (size_t i = 0; i < keys.size(); i++) {
     ASSERT_TRUE(cursor.Valid());
     EXPECT_EQ(cursor.key().ToString(), keys[i]);
-    EXPECT_EQ(cursor.value().ToString(), "v" + std::to_string(i));
+    EXPECT_EQ(cursor.value().ToString(),
+              std::string("v").append(std::to_string(i)));
     cursor.Next();
   }
   EXPECT_FALSE(cursor.Valid());
@@ -987,7 +990,7 @@ TEST_F(DBTest, SizeTieredEscapesAdmissionStall) {
   Open();
   std::vector<size_t> sizes = {1000, 3000, 9000, 27000, 81000, 243000};
   for (size_t i = 0; i < sizes.size(); i++) {
-    std::string key = "g" + std::to_string(i);
+    std::string key = std::string("g").append(std::to_string(i));
     ASSERT_TRUE(db_->Put(key, std::string(sizes[i], 'a' + i)).ok());
     ASSERT_TRUE(db_->Flush().ok());
   }
@@ -1019,7 +1022,7 @@ TEST_F(DBTest, LeveledCompactionKeepsDataCorrect) {
   Random rng(6);
   for (int i = 0; i < 6000; i++) {
     std::string key = "key" + std::to_string(rng.Uniform(3000));
-    std::string value = "v" + std::to_string(i);
+    std::string value = std::string("v").append(std::to_string(i));
     ASSERT_TRUE(db_->Put(key, value).ok());
     model[key] = value;
   }
@@ -1037,7 +1040,7 @@ TEST_F(DBTest, PropertyRandomOpsAgainstModel) {
   Random rng(99);
   for (int i = 0; i < 15000; i++) {
     int op = static_cast<int>(rng.Uniform(10));
-    std::string key = "k" + std::to_string(rng.Uniform(500));
+    std::string key = std::string("k").append(std::to_string(rng.Uniform(500)));
     if (op < 6) {
       std::string value = "v" + std::to_string(i);
       ASSERT_TRUE(db_->Put(key, value).ok());
@@ -1117,7 +1120,9 @@ TEST_F(DBTest, ReopenAcrossShardCounts) {
   Open();
   for (int i = 0; i < 200; i++) {
     ASSERT_TRUE(
-        db_->Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
+        db_->Put(std::string("key").append(std::to_string(i)),
+                 std::string("v").append(std::to_string(i)))
+            .ok());
   }
   ASSERT_TRUE(db_->Delete("key7").ok());
   db_.reset();
@@ -1705,10 +1710,13 @@ TEST(ConcurrencyTest, ParallelWritersAndReaders) {
       std::string value;
       for (int i = 0; i < kOpsPerThread; i++) {
         std::string key =
-            "t" + std::to_string(t) + "-" + std::to_string(i % 500);
+            std::string("t").append(std::to_string(t)).append("-").append(
+                std::to_string(i % 500));
         int op = static_cast<int>(rng.Uniform(10));
         if (op < 6) {
-          if (!db->Put(key, "v" + std::to_string(i)).ok()) failures++;
+          if (!db->Put(key, std::string("v").append(std::to_string(i))).ok()) {
+            failures++;
+          }
         } else if (op < 8) {
           Status s = db->Get(ReadOptions(), key, &value);
           if (!s.ok() && !s.IsNotFound()) failures++;
@@ -1774,8 +1782,11 @@ TEST(WriteBatchTest, RecoversAtomically) {
     for (int i = 0; i < 200; i++) {
       WriteBatch batch;
       for (int f = 0; f < 5; f++) {
-        batch.Put("row" + std::to_string(i) + "/f" + std::to_string(f),
-                  "v" + std::to_string(i));
+        batch.Put(std::string("row")
+                      .append(std::to_string(i))
+                      .append("/f")
+                      .append(std::to_string(f)),
+                  std::string("v").append(std::to_string(i)));
       }
       ASSERT_TRUE(db->Write(batch).ok());
     }
@@ -1980,7 +1991,7 @@ TEST(SnapshotIteratorTest, PointInTimeViewUnderConcurrentWrites) {
   for (int i = 0; i < kInitial; i++) {
     char key[16];
     snprintf(key, sizeof(key), "k%06d", i);
-    ASSERT_TRUE(db->Put(key, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db->Put(key, std::string("v").append(std::to_string(i))).ok());
   }
   ASSERT_TRUE(db->Delete("k000100").ok());
 
@@ -1995,7 +2006,7 @@ TEST(SnapshotIteratorTest, PointInTimeViewUnderConcurrentWrites) {
       char key[16];
       snprintf(key, sizeof(key), "k%06d", i++);
       db->Put(key, "new");
-      db->Delete("k" + std::to_string(rng.Uniform(100000)));
+      db->Delete(std::string("k").append(std::to_string(rng.Uniform(100000))));
     }
   });
 

@@ -619,7 +619,8 @@ TEST_F(ServerTest, ManyConnectionsConcurrentTraffic) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; i++) {
         std::string key =
-            "k" + std::to_string(t) + "-" + std::to_string(i);
+            std::string("k").append(std::to_string(t)).append("-").append(
+                std::to_string(i));
         ycsb::Record record{{"f", key}};
         if (!store->Insert("t", Slice(key), record).ok()) failures++;
         ycsb::Record got;

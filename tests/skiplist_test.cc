@@ -83,7 +83,8 @@ TEST(SkipListTest, PropertyAgainstStdMap) {
   std::map<std::string, int> model;
   Random rng(123);
   for (int i = 0; i < 20000; i++) {
-    std::string key = "k" + std::to_string(rng.Uniform(2000));
+    std::string key =
+        std::string("k").append(std::to_string(rng.Uniform(2000)));
     int op = static_cast<int>(rng.Uniform(3));
     if (op == 0) {
       int value = static_cast<int>(rng.Uniform(1000));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,8 +23,11 @@ using testutil::ScopedTempDir;
 ycsb::Record MakeRecord(int tag) {
   ycsb::Record record;
   for (int i = 0; i < 5; i++) {
-    record.emplace_back("field" + std::to_string(i),
-                        "v" + std::to_string(tag) + "-" + std::to_string(i));
+    record.emplace_back(std::string("field").append(std::to_string(i)),
+                        std::string("v")
+                            .append(std::to_string(tag))
+                            .append("-")
+                            .append(std::to_string(i)));
   }
   return record;
 }
@@ -189,7 +193,7 @@ TEST(HBaseStoreTest, WideRowSurvivesCellBatchBoundary) {
   for (int i = 0; i < 300; i++) {
     char q[16];
     snprintf(q, sizeof(q), "f%03d", i);
-    record.emplace_back(q, "v" + std::to_string(i));
+    record.emplace_back(q, std::string("v").append(std::to_string(i)));
   }
   ASSERT_TRUE(store->Insert("t", "wide-row", record).ok());
 
@@ -460,10 +464,10 @@ TEST(RedisStoreTest, NodeStatsShowImbalance) {
             1.15);
 }
 
-// Regression test for the cross-shard scan: fanning a scan out to every
-// node and k-way merging the runs must return exactly what a single node
+// Regression test for the cross-shard scan: querying every node in pages
+// and k-way merging the runs must return exactly what a single node
 // holding all the data would — same keys, same order, no over-fetch past
-// `count` and no shard-boundary gaps.
+// `count` and no shard-boundary or page-boundary gaps.
 TEST(RedisStoreTest, CrossShardScanMatchesSingleNode) {
   StoreOptions sharded_options;
   sharded_options.num_nodes = 5;
@@ -494,6 +498,43 @@ TEST(RedisStoreTest, CrossShardScanMatchesSingleNode) {
     for (size_t j = 0; j < got.size(); j++) {
       EXPECT_EQ(got[j].key, expected[j].key);
       EXPECT_EQ(got[j].record, expected[j].record);
+    }
+  }
+  // Whole-table windows take many page rounds; past the end they stop.
+  for (int count : {0, 399, 400, 401, 1000}) {
+    std::vector<ycsb::KeyedRecord> got;
+    ASSERT_TRUE(sharded->ScanKeyed("t", keys.front(), count, &got).ok());
+    ASSERT_EQ(got.size(), std::min<size_t>(count, keys.size()));
+    for (size_t j = 0; j < got.size(); j++) EXPECT_EQ(got[j].key, keys[j]);
+  }
+}
+
+// A page round resumes at the bound key plus one NUL byte, the smallest
+// key after it. Keys that extend each other with NULs sit exactly at that
+// resume point, so every window over them must match the sorted key list.
+TEST(RedisStoreTest, PagedScanResumesRightAfterBoundKey) {
+  StoreOptions options;
+  options.num_nodes = 3;
+  std::unique_ptr<RedisStore> store;
+  ASSERT_TRUE(RedisStore::Open(options, &store).ok());
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 40; i++) {
+    std::string key = std::string("k").append(std::to_string(i % 8));
+    key.append(static_cast<size_t>(i / 8), '\0');
+    keys.push_back(key);
+    ASSERT_TRUE(store->Insert("t", key, MakeRecord(i)).ok());
+  }
+  std::sort(keys.begin(), keys.end());
+  for (size_t from = 0; from < keys.size(); from++) {
+    for (int count = 1; count <= 41; count += 4) {
+      std::vector<ycsb::KeyedRecord> got;
+      ASSERT_TRUE(store->ScanKeyed("t", keys[from], count, &got).ok());
+      ASSERT_EQ(got.size(),
+                std::min<size_t>(count, keys.size() - from));
+      for (size_t j = 0; j < got.size(); j++) {
+        EXPECT_EQ(got[j].key, keys[from + j]);
+      }
     }
   }
 }

@@ -10,8 +10,14 @@
 namespace apmbench::volt {
 namespace {
 
+Options Sites(int sites_per_host) {
+  Options options;
+  options.sites_per_host = sites_per_host;
+  return options;
+}
+
 TEST(VoltTest, PutGetDelete) {
-  VoltEngine engine(Options{.sites_per_host = 4});
+  VoltEngine engine(Sites(4));
   ASSERT_TRUE(engine.Put("key1", "value1").ok());
   std::string value;
   ASSERT_TRUE(engine.Get("key1", &value).ok());
@@ -22,7 +28,7 @@ TEST(VoltTest, PutGetDelete) {
 }
 
 TEST(VoltTest, RoutingIsDeterministicAndSpread) {
-  VoltEngine engine(Options{.sites_per_host = 6});
+  VoltEngine engine(Sites(6));
   std::vector<int> counts(6, 0);
   for (int i = 0; i < 6000; i++) {
     std::string key = "user" + std::to_string(i);
@@ -39,7 +45,7 @@ TEST(VoltTest, RoutingIsDeterministicAndSpread) {
 }
 
 TEST(VoltTest, ScanIsGloballyOrdered) {
-  VoltEngine engine(Options{.sites_per_host = 5});
+  VoltEngine engine(Sites(5));
   for (int i = 0; i < 500; i++) {
     char key[16];
     snprintf(key, sizeof(key), "k%04d", i);
@@ -56,7 +62,7 @@ TEST(VoltTest, ScanIsGloballyOrdered) {
 }
 
 TEST(VoltTest, StatsCountTransactionTypes) {
-  VoltEngine engine(Options{.sites_per_host = 3});
+  VoltEngine engine(Sites(3));
   ASSERT_TRUE(engine.Put("a", "1").ok());
   std::string value;
   ASSERT_TRUE(engine.Get("a", &value).ok());
@@ -71,7 +77,7 @@ TEST(VoltTest, StatsCountTransactionTypes) {
 }
 
 TEST(VoltTest, SerialExecutionUnderConcurrency) {
-  VoltEngine engine(Options{.sites_per_host = 4});
+  VoltEngine engine(Sites(4));
   const int threads = 8;
   const int ops = 500;
   std::vector<std::thread> workers;
@@ -79,7 +85,8 @@ TEST(VoltTest, SerialExecutionUnderConcurrency) {
   for (int t = 0; t < threads; t++) {
     workers.emplace_back([&, t]() {
       for (int i = 0; i < ops; i++) {
-        std::string key = "t" + std::to_string(t) + "-" + std::to_string(i);
+        std::string key = std::string("t").append(std::to_string(t)).append(
+            "-").append(std::to_string(i));
         if (!engine.Put(key, "v").ok()) failures++;
         std::string value;
         if (!engine.Get(key, &value).ok()) failures++;
@@ -111,7 +118,10 @@ TEST(CommandLogTest, RecoversAfterRestart) {
     VoltEngine engine(options);
     ASSERT_TRUE(engine.Recover().ok());
     for (int i = 0; i < 300; i++) {
-      ASSERT_TRUE(engine.Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
+      ASSERT_TRUE(engine
+                      .Put(std::string("key").append(std::to_string(i)),
+                           std::string("v").append(std::to_string(i)))
+                      .ok());
     }
     for (int i = 0; i < 300; i += 3) {
       ASSERT_TRUE(engine.Delete("key" + std::to_string(i)).ok());
