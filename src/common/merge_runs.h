@@ -9,14 +9,13 @@
 
 namespace apmbench {
 
-/// K-way merge of sorted runs: emits the up-to-`count` globally smallest
-/// elements (by `get_key`, ascending) into *out, consuming each run only
-/// as far as needed — the fix for the cross-shard scan over-fetch, and
-/// O(count · log k) instead of sort-everything's O(n log n). Each input
-/// run must itself be sorted with unique keys. With `dedup` set, a key
-/// present in several runs (replicas) is emitted once, from the
-/// lowest-indexed run holding it. Runs are consumed destructively
-/// (elements are moved out).
+/// K-way merge of sorted runs: appends the globally smallest elements (by
+/// `get_key`, ascending) to *out until it holds `count`, consuming each
+/// run only as far as needed — O(count · log k) instead of
+/// sort-everything's O(n log n). Each input run must itself be sorted
+/// with unique keys. With `dedup` set, a key present in several runs
+/// (replicas) is emitted once, from the lowest-indexed run holding it.
+/// Runs are consumed destructively (elements are moved out).
 template <typename T, typename GetKey>
 void MergeSortedRuns(std::vector<std::vector<T>>* runs, size_t count,
                      bool dedup, GetKey get_key, std::vector<T>* out) {

@@ -352,8 +352,11 @@ TEST(LsmConcurrencyTest, QueuedWritersApplyShardsInParallel) {
   auto batch_writer = [&](int id) {
     lsm::WriteBatch batch;
     for (int i = 0; i < 8; i++) {
-      batch.Put("w" + std::to_string(id) + ".row" + std::to_string(i),
-                "v" + std::to_string(id));
+      batch.Put(std::string("w")
+                    .append(std::to_string(id))
+                    .append(".row")
+                    .append(std::to_string(i)),
+                std::string("v").append(std::to_string(id)));
     }
     ASSERT_TRUE(db->Write(batch).ok());
   };
