@@ -17,6 +17,11 @@ constexpr uint8_t kWalPut = 1;
 constexpr uint8_t kWalDelete = 2;
 constexpr uint8_t kWalBatch = 3;
 
+/// Size-tiered: tables within [avg * kBucketLow, avg * kBucketHigh] form
+/// one bucket (Cassandra STCS's bucket_low / bucket_high defaults).
+constexpr double kBucketLow = 0.5;
+constexpr double kBucketHigh = 1.5;
+
 void EncodeWalRecord(std::string* dst, uint64_t seq, uint8_t type,
                      const Slice& key, const Slice& value) {
   PutFixed64(dst, seq);
@@ -85,15 +90,6 @@ DB::DB(const Options& options) : options_(options) {
   versions_ = std::make_unique<VersionSet>(options_, env_);
   mem_ = std::make_shared<MemTable>(options_.arena_block_bytes,
                                     options_.memtable_shards);
-  rate_limiter_ = options_.rate_limiter;
-  if (rate_limiter_ == nullptr && options_.rate_limit_bytes_per_sec > 0) {
-    rate_limiter_ =
-        std::make_shared<RateLimiter>(options_.rate_limit_bytes_per_sec);
-  }
-  if (options_.subcompactions > 1) {
-    subcompaction_pool_ =
-        std::make_unique<FanoutExecutor>(options_.subcompactions - 1);
-  }
 }
 
 Status DB::Open(const Options& options, std::unique_ptr<DB>* db) {
@@ -935,16 +931,10 @@ Status DB::WriteTables(Iterator* iter, bool single_output, int output_level,
                        std::vector<uint64_t>* numbers) {
   std::unique_ptr<TableBuilder> builder;
   uint64_t current_number = 0;
-  // Rate-limiter charging: pay for bytes in ~64 KiB installments as the
-  // builder grows, so background I/O is smoothed rather than charged in
-  // one table-sized burst at Finish.
-  constexpr uint64_t kChargeChunk = 64 * 1024;
-  uint64_t charged = 0;
   auto open_builder = [&]() -> Status {
     current_number = versions_->NewFileNumber();
     builder = std::make_unique<TableBuilder>(options_, env_,
                                              TablePath(current_number));
-    charged = 0;
     return builder->Open();
   };
   auto finish_builder = [&]() -> Status {
@@ -960,9 +950,6 @@ Status DB::WriteTables(Iterator* iter, bool single_output, int output_level,
     meta.num_entries = builder->NumEntries();
     meta.smallest = builder->smallest_key();
     meta.largest = builder->largest_key();
-    if (rate_limiter_ != nullptr && meta.file_size > charged) {
-      rate_limiter_->Request(meta.file_size - charged);
-    }
     outputs->push_back(std::move(meta));
     numbers->push_back(current_number);
     compaction_bytes_written_.fetch_add(builder->FileSize(),
@@ -980,13 +967,6 @@ Status DB::WriteTables(Iterator* iter, bool single_output, int output_level,
     }
     APM_RETURN_IF_ERROR(builder->Add(iter->key(), iter->value(), iter->seq(),
                                      iter->IsTombstone()));
-    if (rate_limiter_ != nullptr) {
-      const uint64_t estimate = builder->CurrentSizeEstimate();
-      if (estimate >= charged + kChargeChunk) {
-        rate_limiter_->Request(estimate - charged);
-        charged = estimate;
-      }
-    }
     if (!single_output && builder->CurrentSizeEstimate() >= max_output) {
       APM_RETURN_IF_ERROR(finish_builder());
     }
@@ -1142,8 +1122,8 @@ bool DB::PickCompaction(CompactionJob* job) {
     for (const auto& f : files) {
       double size = static_cast<double>(f.file_size);
       if (bucket.empty() ||
-          (size >= bucket_avg * options_.size_tiered_bucket_low &&
-           size <= bucket_avg * options_.size_tiered_bucket_high)) {
+          (size >= bucket_avg * kBucketLow &&
+           size <= bucket_avg * kBucketHigh)) {
         double total = bucket_avg * static_cast<double>(bucket.size()) + size;
         bucket.push_back(f);
         bucket_avg = total / static_cast<double>(bucket.size());
@@ -1276,63 +1256,6 @@ bool DB::PickCompaction(CompactionJob* job) {
   return false;
 }
 
-namespace {
-
-/// Restricts an iterator to keys strictly below `end` (empty = no bound);
-/// used to hand each subcompaction its own slice of the merged key space.
-class ClampIterator final : public Iterator {
- public:
-  ClampIterator(std::unique_ptr<Iterator> base, std::string end)
-      : base_(std::move(base)), end_(std::move(end)) {}
-
-  bool Valid() const override {
-    return base_->Valid() &&
-           (end_.empty() || base_->key().Compare(Slice(end_)) < 0);
-  }
-  void SeekToFirst() override { base_->SeekToFirst(); }
-  void Seek(const Slice& target) override { base_->Seek(target); }
-  void Next() override { base_->Next(); }
-  Slice key() const override { return base_->key(); }
-  Slice value() const override { return base_->value(); }
-  bool IsTombstone() const override { return base_->IsTombstone(); }
-  uint64_t seq() const override { return base_->seq(); }
-  Status status() const override { return base_->status(); }
-
- private:
-  std::unique_ptr<Iterator> base_;
-  std::string end_;
-};
-
-}  // namespace
-
-Status DB::RunSubcompaction(const std::vector<std::shared_ptr<Table>>& inputs,
-                            const CompactionJob& job, const std::string& start,
-                            const std::string& end,
-                            std::vector<FileMeta>* outputs,
-                            std::vector<uint64_t>* numbers) {
-  // Every subtask merges over *all* input tables (so dedup sees every
-  // version of a key) but only consumes its [start, end) slice; the
-  // slices partition the key space, so the concatenated outputs hold
-  // each surviving key exactly once.
-  ReadOptions read_options;
-  read_options.fill_cache = false;
-  std::vector<std::unique_ptr<Iterator>> children;
-  children.reserve(inputs.size());
-  for (const auto& table : inputs) {
-    children.push_back(table->NewIterator(read_options));
-  }
-  auto merged = NewDedupIterator(NewMergingIterator(std::move(children)),
-                                 /*skip_tombstones=*/job.drop_tombstones);
-  auto clamped = std::make_unique<ClampIterator>(std::move(merged), end);
-  if (start.empty()) {
-    clamped->SeekToFirst();
-  } else {
-    clamped->Seek(Slice(start));
-  }
-  return WriteTables(clamped.get(), job.single_output, job.output_level,
-                     outputs, numbers);
-}
-
 void DB::RunCompaction(const CompactionJob& job) {
   // Snapshot the input tables (immutable; no mutex needed to read them,
   // but fetching the shared_ptrs requires it).
@@ -1352,71 +1275,39 @@ void DB::RunCompaction(const CompactionJob& job) {
     }
   }
 
-  // Partition the job into subcompactions along the inputs' smallest
-  // keys. Only multi-output (leveled) jobs are eligible: a size-tiered
-  // bucket or manual compaction must emit exactly one table.
-  std::vector<std::string> bounds;  // interior range boundaries
-  if (!job.single_output && options_.subcompactions > 1 &&
-      job.inputs.size() > 1) {
-    std::vector<std::string> keys;
-    for (const auto& meta : job.inputs) keys.push_back(meta.smallest);
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    // The first key starts the unbounded leading range; the remaining
-    // candidates split the space into at most `subcompactions` pieces.
-    if (keys.size() > 1) {
-      const size_t max_pieces = std::min<size_t>(
-          static_cast<size_t>(options_.subcompactions), keys.size());
-      const size_t step = (keys.size() + max_pieces - 1) / max_pieces;
-      for (size_t i = step; i < keys.size(); i += step) {
-        bounds.push_back(keys[i]);
-      }
-    }
+  // Merge over every input table so dedup sees every version of a key.
+  ReadOptions read_options;
+  read_options.fill_cache = false;
+  std::vector<std::unique_ptr<Iterator>> children;
+  children.reserve(inputs.size());
+  for (const auto& table : inputs) {
+    children.push_back(table->NewIterator(read_options));
   }
-  const size_t pieces = bounds.size() + 1;
-
-  std::vector<std::vector<FileMeta>> piece_outputs(pieces);
-  std::vector<std::vector<uint64_t>> piece_numbers(pieces);
-  Status s;
-  if (pieces == 1) {
-    s = RunSubcompaction(inputs, job, std::string(), std::string(),
-                         &piece_outputs[0], &piece_numbers[0]);
-  } else {
-    std::vector<FanoutExecutor::Task> tasks;
-    tasks.reserve(pieces);
-    for (size_t i = 0; i < pieces; i++) {
-      const std::string start = i == 0 ? std::string() : bounds[i - 1];
-      const std::string end = i == pieces - 1 ? std::string() : bounds[i];
-      tasks.push_back([this, &inputs, &job, start, end, &piece_outputs,
-                       &piece_numbers, i]() {
-        return RunSubcompaction(inputs, job, start, end, &piece_outputs[i],
-                                &piece_numbers[i]);
-      });
-    }
-    s = subcompaction_pool_->RunAll(std::move(tasks));
-  }
+  auto merged = NewDedupIterator(NewMergingIterator(std::move(children)),
+                                 /*skip_tombstones=*/job.drop_tombstones);
+  merged->SeekToFirst();
+  std::vector<FileMeta> outputs;
+  std::vector<uint64_t> numbers;
+  Status s = WriteTables(merged.get(), job.single_output, job.output_level,
+                         &outputs, &numbers);
 
   std::lock_guard<std::mutex> lock(mu_);
   if (!s.ok()) {
     // Drop whatever outputs finished before the failure; partially built
     // tables were already abandoned by their builders, and anything left
     // behind is swept as an orphan at the next Open.
-    for (const auto& numbers : piece_numbers) {
-      for (uint64_t number : numbers) env_->RemoveFile(TablePath(number));
-    }
+    for (uint64_t number : numbers) env_->RemoveFile(TablePath(number));
     bg_error_ = s;
     return;
   }
   VersionEdit edit;
   for (const auto& meta : job.inputs) edit.removed.push_back(meta.number);
-  for (const auto& outputs : piece_outputs) {
-    for (const auto& meta : outputs) {
-      edit.added.push_back({job.output_level, meta});
-      Status open_status = OpenTable(meta);
-      if (!open_status.ok()) {
-        bg_error_ = open_status;
-        return;
-      }
+  for (const auto& meta : outputs) {
+    edit.added.push_back({job.output_level, meta});
+    Status open_status = OpenTable(meta);
+    if (!open_status.ok()) {
+      bg_error_ = open_status;
+      return;
     }
   }
   s = versions_->LogAndApply(edit);
@@ -1438,7 +1329,6 @@ void DB::RunCompaction(const CompactionJob& job) {
   }
   num_compactions_++;
   compactions_per_level_[job.output_level]++;
-  if (pieces > 1) num_subcompactions_ += pieces;
   // Readers holding the old view keep the dropped tables alive through
   // their shared_ptrs; new readers pick up the compacted set here.
   RefreshViewLocked();
@@ -1606,12 +1496,7 @@ DB::Stats DB::GetStats() {
   stats.stall_escape_compactions = stall_escape_compactions_;
   stats.running_compactions = static_cast<uint64_t>(running_compactions_);
   stats.claimed_files = versions_->NumClaimed();
-  stats.num_subcompactions = num_subcompactions_;
   stats.zombie_tables = zombies_.size();
-  if (rate_limiter_ != nullptr) {
-    stats.rate_limited_bytes = rate_limiter_->total_bytes();
-    stats.rate_limit_wait_micros = rate_limiter_->total_wait_micros();
-  }
   stats.cache_hits = cache_->hits();
   stats.cache_misses = cache_->misses();
   stats.cache_charge = cache_->charge();
@@ -1706,13 +1591,12 @@ bool DB::GetProperty(const Slice& property, std::string* value) {
     char line[200];
     snprintf(line, sizeof(line),
              "compaction: %d threads, %llu running, %llu claimed inputs, "
-             "%llu zombie tables, %llu jobs (%llu subcompactions)\n",
+             "%llu zombie tables, %llu jobs\n",
              std::max(1, options_.compaction_threads),
              static_cast<unsigned long long>(stats.running_compactions),
              static_cast<unsigned long long>(stats.claimed_files),
              static_cast<unsigned long long>(stats.zombie_tables),
-             static_cast<unsigned long long>(stats.num_compactions),
-             static_cast<unsigned long long>(stats.num_subcompactions));
+             static_cast<unsigned long long>(stats.num_compactions));
     value->append(line);
     snprintf(line, sizeof(line),
              "stalls: slowdown %llu writes / %llu us, stop %llu writes / "
@@ -1722,14 +1606,6 @@ bool DB::GetProperty(const Slice& property, std::string* value) {
              static_cast<unsigned long long>(stats.stall_stop_writes),
              static_cast<unsigned long long>(stats.stall_stop_micros));
     value->append(line);
-    if (rate_limiter_ != nullptr) {
-      snprintf(line, sizeof(line),
-               "rate limit: %llu bytes/s, %llu bytes through, wait %llu us\n",
-               static_cast<unsigned long long>(rate_limiter_->bytes_per_sec()),
-               static_cast<unsigned long long>(stats.rate_limited_bytes),
-               static_cast<unsigned long long>(stats.rate_limit_wait_micros));
-      value->append(line);
-    }
     for (size_t level = 0; level < stats.files_per_level.size(); level++) {
       if (stats.files_per_level[level] == 0 &&
           stats.compactions_per_level[level] == 0 &&

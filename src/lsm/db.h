@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "common/env.h"
-#include "common/fanout.h"
 #include "common/group_commit.h"
-#include "common/rate_limiter.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "lsm/block_cache.h"
@@ -141,15 +139,9 @@ class DB {
     /// them (the scheduler's queue depth).
     uint64_t running_compactions = 0;
     uint64_t claimed_files = 0;
-    /// Subcompaction subtasks run so far (counted only when a job was
-    /// actually split).
-    uint64_t num_subcompactions = 0;
     /// Tables removed from the live version but kept alive (file not yet
     /// unlinked) because an iterator or in-flight job still reads them.
     uint64_t zombie_tables = 0;
-    /// Background-I/O rate limiter totals (zero when unlimited).
-    uint64_t rate_limited_bytes = 0;
-    uint64_t rate_limit_wait_micros = 0;
     std::vector<int> files_per_level;
     std::vector<uint64_t> bytes_per_level;
     /// Compaction work by level: jobs that output into the level, bytes
@@ -360,16 +352,9 @@ class DB {
   /// ReleaseFiles(job->inputs) when the job finishes.
   bool PickCompaction(CompactionJob* job);
   /// Runs one claimed job end to end (requires mu_ NOT held): merges the
-  /// inputs — split into parallel subcompactions when eligible — applies
-  /// the version edit, and moves the inputs to the zombie list.
+  /// inputs into new tables, applies the version edit, and moves the
+  /// inputs to the zombie list.
   void RunCompaction(const CompactionJob& job);
-  /// Merges `inputs` over the key range [start, end) (empty = unbounded)
-  /// into new tables. Requires mu_ NOT held.
-  Status RunSubcompaction(const std::vector<std::shared_ptr<Table>>& inputs,
-                          const CompactionJob& job, const std::string& start,
-                          const std::string& end,
-                          std::vector<FileMeta>* outputs,
-                          std::vector<uint64_t>* numbers);
   uint64_t MaxBytesForLevel(int level) const;
 
   /// Unlinks zombie tables nothing references anymore. A table moves to
@@ -439,12 +424,6 @@ class DB {
   /// file, a job finishes (cascading work, claim releases), a manual
   /// compaction is requested, or at shutdown.
   std::condition_variable compaction_cv_;
-  /// Shared executor for subcompaction subtasks; null when
-  /// Options::subcompactions <= 1. Callers participate, so concurrent
-  /// jobs can share it without deadlock.
-  std::unique_ptr<FanoutExecutor> subcompaction_pool_;
-  /// Token bucket charged by WriteTables; null when unlimited.
-  std::shared_ptr<RateLimiter> rate_limiter_;
 
   bool shutting_down_ = false;
   bool closed_ = false;
@@ -461,7 +440,6 @@ class DB {
   uint64_t parallel_apply_groups_ = 0;
   uint64_t num_flushes_ = 0;
   uint64_t num_compactions_ = 0;
-  uint64_t num_subcompactions_ = 0;
   uint64_t stall_slowdown_micros_ = 0;
   uint64_t stall_slowdown_writes_ = 0;
   uint64_t stall_stop_micros_ = 0;

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/compression.h"
@@ -11,7 +10,6 @@
 
 namespace apmbench {
 class Env;
-class RateLimiter;
 }
 
 namespace apmbench::lsm {
@@ -105,10 +103,8 @@ struct Options {
   CompactionStyle compaction_style = CompactionStyle::kSizeTiered;
 
   /// Size-tiered: minimum number of similar-sized tables to merge.
+  /// Tables within [avg * 0.5, avg * 1.5] form one bucket.
   int size_tiered_min_files = 4;
-  /// Size-tiered: tables within [avg*low, avg*high] form one bucket.
-  double size_tiered_bucket_low = 0.5;
-  double size_tiered_bucket_high = 1.5;
 
   /// Leveled: level-0 file count that triggers a compaction.
   int level0_compaction_trigger = 4;
@@ -120,11 +116,6 @@ struct Options {
   /// merge can never delay memtable flushes. Clamped to >= 1.
   int compaction_threads = 2;
 
-  /// Maximum number of parallel subcompactions per leveled compaction
-  /// job: the job's key range is partitioned and the pieces are merged
-  /// concurrently through a shared FanoutExecutor. 1 disables splitting.
-  int subcompactions = 1;
-
   /// Write admission control (RocksDB semantics). When the number of
   /// level-0 sorted runs reaches `level0_slowdown_trigger`, each write is
   /// delayed once by ~1ms to let compaction gain ground; at
@@ -133,16 +124,6 @@ struct Options {
   /// sorted-run count (universal-compaction style). 0 disables a trigger.
   int level0_slowdown_trigger = 20;
   int level0_stop_trigger = 36;
-
-  /// Byte budget per second for background I/O (flush + compaction),
-  /// enforced by a token-bucket RateLimiter. 0 = unlimited. Ignored when
-  /// `rate_limiter` is set explicitly.
-  uint64_t rate_limit_bytes_per_sec = 0;
-
-  /// Optional explicit limiter, shared across DBs so several LSM nodes
-  /// of one store draw from a single machine-wide budget. When null and
-  /// rate_limit_bytes_per_sec > 0, the DB creates a private one.
-  std::shared_ptr<RateLimiter> rate_limiter;
 
   /// Number of levels maintained by the leveled strategy.
   static constexpr int kNumLevels = 7;

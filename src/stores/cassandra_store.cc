@@ -7,8 +7,8 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/merge_runs.h"
-#include "common/rate_limiter.h"
 #include "stores/disk_usage.h"
+#include "stores/lsm_node_options.h"
 
 namespace apmbench::stores {
 
@@ -21,12 +21,13 @@ cluster::MembershipOptions MembershipOptionsFrom(const StoreOptions& options) {
   return m;
 }
 
-int DigestBitsFrom(int buckets) {
-  // Round the knob down to a power of two so a bucket is a hash prefix;
-  // clamp to [1, 2^16] leaves.
-  int bits = 0;
-  while ((1 << (bits + 1)) <= std::max(1, buckets) && bits < 16) bits++;
-  return bits;
+/// Repair digests: 2^kDigestBits Merkle-style leaves per replica pair,
+/// each leaf one prefix of RingHash.
+constexpr int kDigestBits = 6;
+constexpr size_t kDigestBuckets = size_t{1} << kDigestBits;
+
+size_t DigestBucket(const Slice& key) {
+  return static_cast<size_t>(cluster::RingHash(key) >> (64 - kDigestBits));
 }
 
 }  // namespace
@@ -38,7 +39,6 @@ CassandraStore::CassandraStore(const StoreOptions& options)
       replication_factor_(
           std::max(1, std::min(options.replication_factor,
                                options.num_nodes))),
-      digest_bits_(DigestBitsFrom(options.repair_digest_buckets)),
       fault_seam_(options.num_nodes),
       membership_(options.num_nodes, MembershipOptionsFrom(options)) {}
 
@@ -49,33 +49,10 @@ Status CassandraStore::Open(const StoreOptions& options,
   }
   std::unique_ptr<CassandraStore> s(new CassandraStore(options));
   s->env_ = options.env != nullptr ? options.env : Env::Default();
-  // One token bucket for the whole store: the simulated nodes share one
-  // machine's disk, so their background I/O draws from one budget.
-  std::shared_ptr<RateLimiter> rate_limiter;
-  if (options.lsm_rate_limit_bytes_per_sec > 0) {
-    rate_limiter =
-        std::make_shared<RateLimiter>(options.lsm_rate_limit_bytes_per_sec);
-  }
   for (int i = 0; i < options.num_nodes; i++) {
-    lsm::Options db_options;
-    db_options.dir = options.base_dir + "/node" + std::to_string(i);
-    db_options.env = options.env;
-    db_options.memtable_bytes = options.memtable_bytes;
-    db_options.block_cache_bytes = options.block_cache_bytes;
-    db_options.block_cache_shard_bits = options.block_cache_shard_bits;
-    db_options.bloom_bits_per_key = options.bloom_bits_per_key;
-    db_options.block_restart_interval = options.lsm_block_restart_interval;
-    db_options.prefix_bloom_length = options.lsm_prefix_bloom_length;
-    db_options.arena_block_bytes = options.lsm_arena_block_bytes;
-    db_options.memtable_shards = options.lsm_memtable_shards;
-    db_options.compression = options.lsm_compression;
-    db_options.compaction_style = lsm::CompactionStyle::kSizeTiered;
-    db_options.compaction_threads = options.lsm_compaction_threads;
-    db_options.level0_slowdown_trigger = options.lsm_level0_slowdown_trigger;
-    db_options.level0_stop_trigger = options.lsm_level0_stop_trigger;
-    db_options.rate_limiter = rate_limiter;
     std::unique_ptr<lsm::DB> db;
-    APM_RETURN_IF_ERROR(lsm::DB::Open(db_options, &db));
+    APM_RETURN_IF_ERROR(lsm::DB::Open(
+        LsmNodeOptions(options, i, lsm::CompactionStyle::kSizeTiered), &db));
     s->nodes_.push_back(std::move(db));
   }
   // Hint queues live beside the node directories and survive restarts:
@@ -491,12 +468,12 @@ uint64_t CassandraStore::PendingHints(int node) const {
 Status CassandraStore::ComputeDigests(
     std::vector<std::vector<std::vector<uint64_t>>>* digests,
     std::vector<bool>* scanned) {
-  const size_t buckets = 1u << digest_bits_;
   const int n_nodes = static_cast<int>(nodes_.size());
   digests->assign(
       static_cast<size_t>(n_nodes),
       std::vector<std::vector<uint64_t>>(
-          static_cast<size_t>(n_nodes), std::vector<uint64_t>(buckets, 0)));
+          static_cast<size_t>(n_nodes),
+          std::vector<uint64_t>(kDigestBuckets, 0)));
   scanned->assign(static_cast<size_t>(n_nodes), false);
   for (int node = 0; node < n_nodes; node++) {
     if (!membership_.IsLive(node) && !membership_.TryClaimProbe(node)) {
@@ -516,9 +493,7 @@ Status CassandraStore::ComputeDigests(
         continue;  // stray row this node no longer owns
       }
       uint64_t digest = EntryDigest(it->key(), it->value());
-      size_t bucket = digest_bits_ == 0
-                          ? 0
-                          : cluster::RingHash(it->key()) >> (64 - digest_bits_);
+      const size_t bucket = DigestBucket(it->key());
       for (int peer : owners) {
         if (peer == node) continue;
         (*digests)[static_cast<size_t>(node)][static_cast<size_t>(peer)]
@@ -543,10 +518,7 @@ Status CassandraStore::CollectBucketRows(
   auto it = nodes_[static_cast<size_t>(node)]->NewSnapshotIterator(
       lsm::ReadOptions());
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    size_t bucket = digest_bits_ == 0
-                        ? 0
-                        : cluster::RingHash(it->key()) >> (64 - digest_bits_);
-    if (!buckets[bucket]) continue;
+    if (!buckets[DigestBucket(it->key())]) continue;
     std::vector<int> owners =
         ring_.RouteReplicas(it->key(), replication_factor_);
     if (std::find(owners.begin(), owners.end(), node) == owners.end() ||
@@ -565,7 +537,6 @@ Status CassandraStore::Repair(RepairStats* stats) {
     std::vector<std::vector<std::vector<uint64_t>>> digests;
     std::vector<bool> scanned;
     APM_RETURN_IF_ERROR(ComputeDigests(&digests, &scanned));
-    const size_t buckets = 1u << digest_bits_;
     const int n_nodes = static_cast<int>(nodes_.size());
     for (int a = 0; a < n_nodes; a++) {
       for (int b = a + 1; b < n_nodes; b++) {
@@ -574,9 +545,9 @@ Status CassandraStore::Repair(RepairStats* stats) {
           continue;
         }
         local.pairs_compared++;
-        std::vector<bool> diverged(buckets, false);
+        std::vector<bool> diverged(kDigestBuckets, false);
         size_t n_diverged = 0;
-        for (size_t bucket = 0; bucket < buckets; bucket++) {
+        for (size_t bucket = 0; bucket < kDigestBuckets; bucket++) {
           if (digests[static_cast<size_t>(a)][static_cast<size_t>(b)]
                      [bucket] !=
               digests[static_cast<size_t>(b)][static_cast<size_t>(a)]
@@ -635,7 +606,6 @@ Status CassandraStore::CheckReplicasConverged(bool* converged) {
   std::vector<std::vector<std::vector<uint64_t>>> digests;
   std::vector<bool> scanned;
   APM_RETURN_IF_ERROR(ComputeDigests(&digests, &scanned));
-  const size_t buckets = 1u << digest_bits_;
   const int n_nodes = static_cast<int>(nodes_.size());
   for (int a = 0; a < n_nodes; a++) {
     if (!scanned[static_cast<size_t>(a)]) {
@@ -645,7 +615,7 @@ Status CassandraStore::CheckReplicasConverged(bool* converged) {
   }
   for (int a = 0; a < n_nodes && *converged; a++) {
     for (int b = a + 1; b < n_nodes && *converged; b++) {
-      for (size_t bucket = 0; bucket < buckets; bucket++) {
+      for (size_t bucket = 0; bucket < kDigestBuckets; bucket++) {
         if (digests[static_cast<size_t>(a)][static_cast<size_t>(b)][bucket] !=
             digests[static_cast<size_t>(b)][static_cast<size_t>(a)][bucket]) {
           *converged = false;

@@ -124,8 +124,8 @@ class CassandraStore final : public ycsb::DB {
 
   /// One anti-entropy pass (Cassandra's nodetool repair, simplified):
   /// every replica pair exchanges per-bucket digests over the keys they
-  /// both own (repair_digest_buckets Merkle leaves over RingHash), and
-  /// only the diverged buckets' rows are compared row-by-row, shipping
+  /// both own (64 Merkle leaves over RingHash), and only the diverged
+  /// buckets' rows are compared row-by-row, shipping
   /// the newest version (column timestamp, then value bytes) to the
   /// stale or missing side. Add-only: repair cannot distinguish "never
   /// wrote" from "deleted and compacted", so it never removes rows —
@@ -191,12 +191,9 @@ class CassandraStore final : public ycsb::DB {
                            const std::vector<bool>& buckets,
                            std::map<std::string, std::string>* rows);
 
-  int digest_bits() const { return digest_bits_; }
-
   StoreOptions options_;
   cluster::TokenRing ring_;
   int replication_factor_;
-  int digest_bits_;  ///< log2 of the repair digest bucket count
   cluster::NodeFaultSeam fault_seam_;
   cluster::Membership membership_;
   Env* env_ = nullptr;

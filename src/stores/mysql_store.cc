@@ -28,9 +28,8 @@ Status MySQLStore::Open(const StoreOptions& options,
     // One shard-bits knob drives both engines' caches: the lsm block
     // cache and the btree buffer pool share the shard map.
     db_options.pool_shard_bits = options.block_cache_shard_bits;
-    if (options.mysql_binlog) {
-      db_options.binlog_path = dir + "/binlog.001";
-    }
+    // The binary log doubles the footprint (Figure 17).
+    db_options.binlog_path = dir + "/binlog.001";
     std::unique_ptr<btree::BTree> db;
     APM_RETURN_IF_ERROR(btree::BTree::Open(db_options, &db));
     s->nodes_.push_back(std::move(db));

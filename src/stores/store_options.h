@@ -43,9 +43,6 @@ struct StoreOptions {
   /// Repair stale or missing replicas discovered on the read path by
   /// writing the winning row back to them.
   bool read_repair = true;
-  /// Merkle-style digest leaves per node pair in CassandraStore::Repair;
-  /// more buckets ship finer-grained differing ranges.
-  int repair_digest_buckets = 64;
 
   Env* env = nullptr;
 
@@ -60,8 +57,6 @@ struct StoreOptions {
   /// When > 0, tables also carry a bloom filter over this many leading
   /// key bytes so bounded scans can skip tables (lsm::Options).
   size_t lsm_prefix_bloom_length = 0;
-  /// Arena block size for memtable bump allocation (lsm::Options).
-  size_t lsm_arena_block_bytes = 4 * 1024;
   /// Hash-partitioned shards in each node's live memtable; group commits
   /// apply shards in parallel across the group's writer threads. Must be
   /// a power of two in [1, 64] (lsm::Options::memtable_shards).
@@ -72,17 +67,11 @@ struct StoreOptions {
   /// Compaction pool size per LSM node (flushes always get a dedicated
   /// thread; see lsm::Options::compaction_threads).
   int lsm_compaction_threads = 2;
-  /// Parallel subcompactions per leveled compaction job (HBase-like
-  /// store); 1 disables splitting.
-  int lsm_subcompactions = 1;
   /// Write admission control per node: L0 sorted-run counts at which
   /// writes are first delayed (~1ms once per write) and then blocked
   /// until compaction catches up. 0 disables a trigger.
   int lsm_level0_slowdown_trigger = 20;
   int lsm_level0_stop_trigger = 36;
-  /// Background-I/O (flush + compaction) byte budget per second, shared
-  /// by every node of the store through one token bucket. 0 = unlimited.
-  uint64_t lsm_rate_limit_bytes_per_sec = 0;
 
   /// B+tree engines (mysql-like, voldemort-like).
   size_t buffer_pool_bytes = 32 * 1024 * 1024;
@@ -101,9 +90,6 @@ struct StoreOptions {
   /// the whole tail of the shard — the behavior behind MySQL's collapse
   /// in workloads RS/RSW. Set true for the LIMIT-clause ablation.
   bool mysql_limit_scans = false;
-
-  /// MySQL-like store: write a binary log (doubles disk usage, Fig. 17).
-  bool mysql_binlog = true;
 
   /// Sample keys used to pre-split HBase regions; when empty a sample of
   /// the YCSB key space is generated internally.

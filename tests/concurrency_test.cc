@@ -18,7 +18,6 @@
 
 #include "btree/btree.h"
 #include "common/env.h"
-#include "common/fanout.h"
 #include "common/fault_env.h"
 #include "common/group_commit.h"
 #include "common/random.h"
@@ -698,56 +697,6 @@ TEST(VoltConcurrencyTest, WritersReadersScannersModelCheck) {
     return engine.Scan(start, count, out);
   };
   RunModelCheck(ops);
-}
-
-// --- Fan-out executor ----------------------------------------------------
-
-TEST(FanoutExecutorTest, RunsEveryTaskEvenWithNoWorkers) {
-  FanoutExecutor fanout(0);  // caller-only execution
-  std::atomic<int> ran{0};
-  std::vector<FanoutExecutor::Task> tasks;
-  for (int i = 0; i < 8; i++) {
-    tasks.push_back([&ran]() {
-      ran.fetch_add(1);
-      return Status::OK();
-    });
-  }
-  ASSERT_TRUE(fanout.RunAll(std::move(tasks)).ok());
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(FanoutExecutorTest, ReturnsFirstFailureInTaskOrder) {
-  FanoutExecutor fanout(3);
-  std::vector<FanoutExecutor::Task> tasks;
-  tasks.push_back([]() { return Status::OK(); });
-  tasks.push_back([]() { return Status::Corruption("task 1 failed"); });
-  tasks.push_back([]() { return Status::IOError("task 2 failed"); });
-  Status s = fanout.RunAll(std::move(tasks));
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-}
-
-TEST(FanoutExecutorTest, ConcurrentBatchesFromManyCallers) {
-  FanoutExecutor fanout(2);
-  constexpr int kCallers = 6;
-  constexpr int kRounds = 50;
-  std::atomic<int> total{0};
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; c++) {
-    callers.emplace_back([&]() {
-      for (int r = 0; r < kRounds; r++) {
-        std::vector<FanoutExecutor::Task> tasks;
-        for (int i = 0; i < 4; i++) {
-          tasks.push_back([&total]() {
-            total.fetch_add(1);
-            return Status::OK();
-          });
-        }
-        ASSERT_TRUE(fanout.RunAll(std::move(tasks)).ok());
-      }
-    });
-  }
-  for (auto& t : callers) t.join();
-  EXPECT_EQ(total.load(), kCallers * kRounds * 4);
 }
 
 // --- Concurrent cross-node scans ----------------------------------------

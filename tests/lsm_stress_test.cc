@@ -353,7 +353,6 @@ TEST(LsmStressTest, Leveled) {
   options.compaction_style = lsm::CompactionStyle::kLeveled;
   options.level0_compaction_trigger = 3;
   options.level1_max_bytes = 64 * 1024;  // force multi-level movement
-  options.subcompactions = 2;
   RunStress(options, "stress-leveled");
 }
 

@@ -11,8 +11,11 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -301,6 +304,38 @@ TEST(ProtocolTest, HostileCountsRejectedWithoutHugeAllocation) {
 // ---------------------------------------------------------------------
 // Socket-level server tests.
 
+/// A BasicDB whose next Insert can be held until a condition holds, so a
+/// test can make requests queue up behind one in-flight request.
+class GatedDB : public testutil::BasicDB {
+ public:
+  /// The next Insert waits until `open()` returns true, or at most 10 s.
+  void HoldNextInsertUntil(std::function<bool()> open) {
+    std::lock_guard<std::mutex> lock(mu_);
+    gate_ = std::move(open);
+  }
+
+  Status Insert(const std::string& table, const Slice& key,
+                const ycsb::Record& record) override {
+    std::function<bool()> gate;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      gate.swap(gate_);
+    }
+    if (gate) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!gate() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    return BasicDB::Insert(table, key, record);
+  }
+
+ private:
+  std::mutex mu_;
+  std::function<bool()> gate_;
+};
+
 class ServerTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions options = ServerOptions()) {
@@ -372,7 +407,7 @@ class ServerTest : public ::testing::Test {
     return false;
   }
 
-  testutil::BasicDB db_;
+  GatedDB db_;
   std::unique_ptr<Server> server_;
 };
 
@@ -650,7 +685,12 @@ TEST_F(ServerTest, ClientPipeliningBatchesOnTheServer) {
 
   // Fire a burst of async calls over one socket, then collect: the
   // responses resolve in the presence of pipelining, and the server's
-  // batch counter shows multi-request drains.
+  // batch counter shows multi-request drains. The first insert is held
+  // until the server has decoded all 200 requests, so the worker's next
+  // drain finds the rest queued on the connection.
+  Server* server = server_.get();
+  db_.HoldNextInsertUntil(
+      [server] { return server->GetStats().requests >= 200; });
   std::vector<std::shared_ptr<Client::Pending>> handles;
   for (int i = 0; i < 200; i++) {
     Request request;
